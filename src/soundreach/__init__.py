@@ -91,7 +91,6 @@ from .solvers import (
 )
 from .variants import (
     StateOrdering,
-    gauss_seidel_svi_solve,
     gauss_seidel_sweep_values,
     gs_sweep,
     topological_solve,
@@ -152,7 +151,6 @@ __all__ = [
     "StateOrdering",
     "gs_sweep",
     "gauss_seidel_sweep_values",
-    "gauss_seidel_svi_solve",
     "topological_solve",
     # command line
     "run_cli",

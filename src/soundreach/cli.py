@@ -23,7 +23,6 @@ import argparse
 import csv
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -174,10 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of plain,gauss-seidel,topological (default: plain)",
     )
     bench.add_argument("--epsilon", type=float, default=1e-6, help="precision (default: 1e-6)")
-    bench.add_argument(
-        "--workers", type=int, default=1,
-        help="concurrent runs; keep at 1 for stable timings (default: 1)",
-    )
 
     compare = sub.add_parser("compare", help="summarize a benchmark CSV")
     compare.add_argument("csv", help="CSV written by the bench subcommand")
@@ -398,7 +393,6 @@ def bench_run(
     methods: str = "svi,ii",
     variants: str = "plain",
     epsilon: float = 1e-6,
-    workers: int = 1,
 ) -> Path:
     """Run every manifest instance against the method/variant grid.
 
@@ -427,21 +421,15 @@ def bench_run(
         except (ModelError, OSError) as exc:
             loaded.append((instance, None, type(exc).__name__))
 
-    jobs = []
+    records = []
     for instance, model, load_error in loaded:
         for method in method_list:
             for gauss_seidel, topological in variant_list:
                 if topological and method is not Method.SVI:
                     continue
-                jobs.append(
-                    (instance, model, load_error, method, gauss_seidel, topological, epsilon)
-                )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda job: _bench_one(*job), jobs))
-    else:
-        records = [_bench_one(*job) for job in jobs]
+                records.append(_bench_one(
+                    instance, model, load_error, method, gauss_seidel, topological, epsilon
+                ))
 
     with out.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -572,7 +560,6 @@ def run_cli(argv=None) -> int:
                 methods=args.methods,
                 variants=args.variants,
                 epsilon=args.epsilon,
-                workers=args.workers,
             )
             print(f"wrote {out}")
             return 0

@@ -206,7 +206,6 @@ class _Kernels:
         self.rewards = model.choice_reward if objective is Objective.REWARD else None
         self.maybe_idx = partition.maybe_states
         self.is_mc = model.is_mc
-        self.single_choice = model.row_group_start[:-1]  # MC: the one choice per state
 
         goal_value = 1.0 if objective is Objective.PROBABILITY else 0.0
         x0 = np.zeros(model.num_states)
@@ -301,7 +300,7 @@ class _Kernels:
         cx = self.choice_x(x)
         cy = self.choice_y(y)
         if self.is_mc:
-            chosen = self.single_choice
+            chosen = self.group_cuts  # a chain's one choice per state
         else:
             if math.isinf(bound):
                 chosen = self.argopt_unbounded(cx, cy)
@@ -377,7 +376,7 @@ def bellman_step_h(
     kern = _Kernels(model, partition, Objective.PROBABILITY, Direction.MAXIMIZE)
     cy = kern.choice_y(y)
     if model.is_mc:
-        chosen = kern.single_choice
+        chosen = kern.group_cuts
     else:
         if scheduler is None:
             raise ConfigError("an MDP y-step needs the scheduler chosen for the x-step")
@@ -396,6 +395,41 @@ def _choice_expectations(
         ex += float(model.choice_reward[choice])
     ey = float(np.add.reduce(probs * y[targets]))
     return ex, ey
+
+
+def _state_expectations(
+    model: SparseModel, x: np.ndarray, y: np.ndarray, state: int, objective: Objective
+) -> list[tuple[float, float]]:
+    return [_choice_expectations(model, x, y, c, objective) for c in model.choices_of(state)]
+
+
+def _pick(expectations: list[tuple[float, float]], bound: float, maximize: bool) -> int:
+    """The selection rule of ``find_action`` over ``(E[x], E[y])`` per choice."""
+    best_local = 0
+    best_key: tuple | None = None
+    for local, (ex, ey) in enumerate(expectations):
+        if math.isinf(bound):
+            key = (ey, ex if maximize else -ex)
+        else:
+            score = ex + bound * ey
+            key = (score if maximize else -score, -ey)
+        if best_key is None or key > best_key:
+            best_key = key
+            best_local = local
+    return best_local
+
+
+def _fold_ratios(
+    expectations: list[tuple[float, float]], chosen: int, decision: float, maximize: bool
+) -> float:
+    """Fold the decision ratios of ``decision_value`` into ``decision``."""
+    ex_chosen, ey_chosen = expectations[chosen]
+    for local, (ex_alt, ey_alt) in enumerate(expectations):
+        y_delta = ey_chosen - ey_alt
+        if local != chosen and y_delta > 0.0:
+            ratio = (ex_alt - ex_chosen) / y_delta
+            decision = max(decision, ratio) if maximize else min(decision, ratio)
+    return decision
 
 
 def find_action(
@@ -417,21 +451,8 @@ def find_action(
     alternative pins the bound through its decision value.  Remaining ties
     resolve to the lowest choice index.
     """
-    maximize = direction is Direction.MAXIMIZE
-    best_local = 0
-    best_key: tuple | None = None
-    for local, choice in enumerate(model.choices_of(state)):
-        ex, ey = _choice_expectations(model, x, y, choice, objective)
-        if math.isinf(bound):
-            key = (ey, ex if maximize else -ex)
-        else:
-            score = ex + bound * ey
-            key = (score if maximize else -score, -ey)
-        better = best_key is None or key > best_key
-        if better:
-            best_key = key
-            best_local = local
-    return best_local
+    expectations = _state_expectations(model, x, y, state, objective)
+    return _pick(expectations, bound, direction is Direction.MAXIMIZE)
 
 
 def decision_value(
@@ -460,22 +481,10 @@ def decision_value(
     y-expectation, so exact ties never contribute.  Near-ties at rounding
     scale still can; see ROADMAP item 1.
     """
-    choices = list(model.choices_of(state))
-    chosen_global = int(model.row_group_start[state]) + chosen
-    ex_chosen, ey_chosen = _choice_expectations(model, x, y, chosen_global, objective)
-    out = neutral_decision(direction)
-    for choice in choices:
-        if choice == chosen_global:
-            continue
-        ex_alt, ey_alt = _choice_expectations(model, x, y, choice, objective)
-        y_delta = ey_chosen - ey_alt
-        if y_delta > 0.0:
-            ratio = (ex_alt - ex_chosen) / y_delta
-            if direction is Direction.MAXIMIZE:
-                out = max(out, ratio)
-            else:
-                out = min(out, ratio)
-    return out
+    expectations = _state_expectations(model, x, y, state, objective)
+    return _fold_ratios(
+        expectations, chosen, neutral_decision(direction), direction is Direction.MAXIMIZE
+    )
 
 
 def update_global_bounds(
@@ -494,19 +503,39 @@ def update_global_bounds(
     value clamps the bound on the optimizing side so the recorded choices
     remain optimal for the new bound.
     """
-    maybe_idx = partition.maybe_states
+    return _tighten_bounds(
+        x, x, y, partition.maybe_states, lower, upper, decision,
+        direction is Direction.MAXIMIZE,
+    )
+
+
+def _tighten_bounds(
+    x_low: np.ndarray,
+    x_high: np.ndarray,
+    y: np.ndarray,
+    maybe_idx: np.ndarray,
+    lower: float,
+    upper: float,
+    decision: float,
+    maximize: bool,
+) -> tuple[float, float]:
+    """``update_global_bounds`` over two value accumulators sharing ``y``.
+
+    ``lower`` rises to the smallest ratio ``x_low / (1 - y)`` and ``upper``
+    falls to the largest ratio ``x_high / (1 - y)``; flat runs pass the same
+    vector twice, the topological engine its low and high accumulators.
+    """
     if maybe_idx.size == 0:
         return lower, upper
     ym = y[maybe_idx]
     if np.any(ym >= 1.0):
         return lower, upper
     denominators = 1.0 - ym
-    if np.any(denominators <= 0.0):
-        return lower, upper
-    ratios = x[maybe_idx] / denominators
-    low_candidate = float(ratios.min())
-    high_candidate = float(ratios.max())
-    if direction is Direction.MAXIMIZE:
+    ratios_low = x_low[maybe_idx] / denominators
+    ratios_high = ratios_low if x_high is x_low else x_high[maybe_idx] / denominators
+    low_candidate = float(ratios_low.min())
+    high_candidate = float(ratios_high.max())
+    if maximize:
         return max(lower, low_candidate), min(upper, max(decision, high_candidate))
     return max(lower, min(decision, low_candidate)), min(upper, high_candidate)
 
@@ -538,7 +567,7 @@ def _shortcut(
     )
 
 
-def _partial_result(
+def _interval_result(
     x: np.ndarray,
     y: np.ndarray,
     initial: int,
@@ -548,10 +577,15 @@ def _partial_result(
     elapsed_ms: float,
     config: SolverConfig,
     trace,
+    sound: bool,
 ) -> SolveResult:
+    """The interval ``x + y * [lower, upper]`` at the initial state, and its
+    midpoint; exactly ``x`` once ``y`` is zero there."""
     y0 = float(y[initial])
     x0 = float(x[initial])
-    if math.isfinite(lower) and math.isfinite(upper):
+    if y0 == 0.0:
+        value = lo = hi = x0
+    elif math.isfinite(lower) and math.isfinite(upper):
         value = x0 + y0 * (lower + upper) / 2.0
         lo, hi = x0 + y0 * lower, x0 + y0 * upper
     else:
@@ -563,9 +597,33 @@ def _partial_result(
         iterations=iterations,
         time_ms=elapsed_ms,
         method=config.method,
-        sound=False,
+        sound=sound,
         trace=trace,
     )
+
+
+def _coupled_stepper(kern: _Kernels, gauss_seidel: bool):
+    """The step of the certified loop and, for Gauss-Seidel, its sweep order.
+
+    The step maps ``(x, y, bound, decision)`` to ``(x', y', chosen,
+    decision')`` with ``chosen`` the global choice index per state.
+    Synchronous runs take ``_Kernels.coupled_step``; Gauss-Seidel runs take
+    ``gs_sweep`` with states in SCC order, successors first.
+    """
+    if not gauss_seidel:
+        return kern.coupled_step, None
+    from .variants import StateOrdering, gs_sweep
+
+    ordering = StateOrdering.for_model(kern.model)
+
+    def sweep(x, y, bound, decision):
+        x, y, local, decision = gs_sweep(
+            kern.model, kern.partition, x, y, bound, decision,
+            kern.direction, kern.objective, ordering,
+        )
+        return x, y, kern.group_cuts + local, decision
+
+    return sweep, ordering
 
 
 def svi_solve(
@@ -579,16 +637,14 @@ def svi_solve(
     Stops once ``y[init] * (upper - lower) < 2 * epsilon`` — or exactly when
     ``y[init]`` hits zero, in which case ``x[init]`` is the exact answer —
     and returns the midpoint of the certified interval at the initial state.
+    ``config.gauss_seidel`` swaps the synchronous step for in-place sweeps;
+    the bound update, the stopping test, the trace and the hook stay the same.
     """
     config = replace(config, method=Method.SVI).validated()
     if config.topological:
         from .variants import topological_solve
 
         return topological_solve(model, partition, config, on_iteration)
-    if config.gauss_seidel:
-        from .variants import gauss_seidel_svi_solve
-
-        return gauss_seidel_svi_solve(model, partition, config, on_iteration)
 
     short = _shortcut(model, partition, config)
     if short is not None:
@@ -596,6 +652,7 @@ def svi_solve(
 
     started = time.perf_counter()
     kern = _Kernels(model, partition, config.objective, config.direction)
+    step, _ = _coupled_stepper(kern, config.gauss_seidel)
     maximize = config.direction is Direction.MAXIMIZE
     initial = model.initial_state
     lower = config.lower if config.lower is not None else -math.inf
@@ -618,12 +675,12 @@ def svi_solve(
             elapsed = (time.perf_counter() - started) * 1000.0
             raise IterationLimit(
                 f"no convergence within {config.max_iterations} iterations",
-                partial=_partial_result(
-                    x, y, initial, lower, upper, k - 1, elapsed, config, trace
+                partial=_interval_result(
+                    x, y, initial, lower, upper, k - 1, elapsed, config, trace, False
                 ),
             )
         bound = upper if maximize else lower
-        x, y, chosen, decision = kern.coupled_step(x, y, bound, decision)
+        x, y, chosen, decision = step(x, y, bound, decision)
         lower, upper = update_global_bounds(
             x, y, partition, lower, upper, decision, config.direction
         )
@@ -631,38 +688,33 @@ def svi_solve(
         if trace is not None:
             trace.append(TraceRow(k, lower, upper, decision, y0))
         if on_iteration is not None:
-            local = None if kern.is_mc else chosen - model.row_group_start[:-1]
             state = IterationState(
                 k, x.copy(), y.copy(), lower, upper, decision,
-                None if local is None else local.copy(),
+                None if kern.is_mc else chosen - kern.group_cuts,
             )
             on_iteration(state, previous)
             previous = state
-        if y0 == 0.0:
-            value = float(x[initial])
-            lo = hi = value
-            break
-        if (
+        if y0 == 0.0 or (
             math.isfinite(lower)
             and math.isfinite(upper)
             and y0 * (upper - lower) < threshold
         ):
-            x0 = float(x[initial])
-            value = x0 + y0 * (lower + upper) / 2.0
-            lo = x0 + y0 * lower
-            hi = x0 + y0 * upper
             break
 
     elapsed = (time.perf_counter() - started) * 1000.0
-    return SolveResult(
-        value=value,
-        lower=lo,
-        upper=hi,
-        iterations=k,
-        time_ms=elapsed,
-        method=Method.SVI,
-        sound=True,
-        trace=trace,
+    return _interval_result(x, y, initial, lower, upper, k, elapsed, config, trace, True)
+
+
+def _value_stepper(model: SparseModel, partition: Partition, config: SolverConfig):
+    """The VI/II step: a synchronous Bellman step, or with ``gauss_seidel``
+    an in-place sweep with states in SCC order, successors first."""
+    if not config.gauss_seidel:
+        return _Kernels(model, partition, config.objective, config.direction).bellman
+    from .variants import StateOrdering, gauss_seidel_sweep_values
+
+    ordering = StateOrdering.for_model(model)
+    return lambda vec: gauss_seidel_sweep_values(
+        model, partition, vec, config.direction, config.objective, ordering
     )
 
 
@@ -680,16 +732,7 @@ def vi_solve(
         return short
 
     started = time.perf_counter()
-    if config.gauss_seidel:
-        from .variants import gauss_seidel_sweep_values
-
-        stepper = lambda vec: gauss_seidel_sweep_values(  # noqa: E731
-            model, partition, vec, config.direction, config.objective
-        )
-    else:
-        kern = _Kernels(model, partition, config.objective, config.direction)
-        stepper = kern.bellman
-
+    stepper = _value_stepper(model, partition, config)
     x = np.zeros(model.num_states)
     if config.objective is Objective.PROBABILITY:
         x[partition.goal] = 1.0
@@ -786,16 +829,7 @@ def ii_solve(
 
     started = time.perf_counter()
     low, high = _ii_start_vectors(model, partition, config)
-    if config.gauss_seidel:
-        from .variants import gauss_seidel_sweep_values
-
-        stepper = lambda vec: gauss_seidel_sweep_values(  # noqa: E731
-            model, partition, vec, config.direction, config.objective
-        )
-    else:
-        kern = _Kernels(model, partition, config.objective, config.direction)
-        stepper = kern.bellman
-
+    stepper = _value_stepper(model, partition, config)
     initial = model.initial_state
     trace: list[TraceRow] | None = [] if config.record_trace else None
     threshold = 2.0 * config.epsilon
@@ -958,14 +992,6 @@ def oracle_solve(
 # ---------------------------------------------------------------------------
 
 
-def _engine(config: SolverConfig):
-    if config.method is Method.VI:
-        return vi_solve
-    if config.method is Method.II:
-        return ii_solve
-    return svi_solve
-
-
 def solve(
     model: SparseModel,
     goal,
@@ -1006,7 +1032,9 @@ def solve(
 
     if config.method is Method.SVI:
         result = svi_solve(prepared, partition, config, on_iteration)
+    elif config.method is Method.VI:
+        result = vi_solve(prepared, partition, config)
     else:
-        result = _engine(config)(prepared, partition, config)
+        result = ii_solve(prepared, partition, config)
     result.time_ms = (time.perf_counter() - started) * 1000.0
     return result

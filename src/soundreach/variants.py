@@ -1,10 +1,11 @@
 """Solver variants: Gauss-Seidel sweeps and the SCC-by-SCC topological solve.
 
-The Gauss-Seidel variants update states in place, one at a time, so each
+The Gauss-Seidel sweeps update states in place, one at a time, so each
 state immediately sees fresh values of the states processed before it in the
 sweep.  The default sweep order lists strongly connected components
 successors-first, which propagates information from the goal backwards in as
-few sweeps as possible.
+few sweeps as possible.  ``svi_solve``, ``vi_solve`` and ``ii_solve`` take
+them as their step when ``gauss_seidel`` is set.
 
 The topological solver processes one SCC at a time (again successors-first).
 Trivial components — a single state that cannot revisit itself — are settled
@@ -13,7 +14,9 @@ successors.  Nontrivial components run a coupled iteration with *two* value
 accumulators sharing one stay-probability and one choice resolution: the
 accumulators differ only in what leaving the component is worth (the lower
 versus the upper certified bound of the states outside), so their certified
-intervals bracket the component's true values.
+intervals bracket the component's true values.  The accumulator the query
+direction optimizes takes the certified loop's own step and both share its
+bound update.
 """
 
 from __future__ import annotations
@@ -28,27 +31,25 @@ from .analysis import scc_order
 from .errors import IterationLimit
 from .model import Direction, Partition, SparseModel, validate_model
 from .solvers import (
-    IterationState,
     Method,
     Objective,
     SolveResult,
     SolverConfig,
     TraceRow,
-    _choice_expectations,
+    _coupled_stepper,
+    _fold_ratios,
     _Kernels,
-    _partial_result,
+    _pick,
     _shortcut,
-    decision_value,
-    find_action,
+    _state_expectations,
+    _tighten_bounds,
     neutral_decision,
-    update_global_bounds,
 )
 
 __all__ = [
     "StateOrdering",
     "gs_sweep",
     "gauss_seidel_sweep_values",
-    "gauss_seidel_svi_solve",
     "topological_solve",
 ]
 
@@ -124,115 +125,17 @@ def gs_sweep(
     x = np.array(x, dtype=np.float64)
     y = np.array(y, dtype=np.float64)
     scheduler = np.zeros(model.num_states, dtype=np.int64)
+    maximize = direction is Direction.MAXIMIZE
     for s in _sweep_states(partition, ordering):
         s = int(s)
-        if model.is_mc:
-            local = 0
-        else:
-            local = find_action(model, x, y, s, bound, direction, objective)
-            decision_here = decision_value(model, x, y, s, local, direction, objective)
-            if direction is Direction.MAXIMIZE:
-                decision = max(decision, decision_here)
-            else:
-                decision = min(decision, decision_here)
-        choice = int(model.row_group_start[s]) + local
-        ex, ey = _choice_expectations(model, x, y, choice, objective)
-        x[s] = ex
-        y[s] = ey
+        expectations = _state_expectations(model, x, y, s, objective)
+        local = 0
+        if not model.is_mc:
+            local = _pick(expectations, bound, maximize)
+            decision = _fold_ratios(expectations, local, decision, maximize)
+        x[s], y[s] = expectations[local]
         scheduler[s] = local
     return x, y, scheduler, decision
-
-
-def gauss_seidel_svi_solve(
-    model: SparseModel,
-    partition: Partition,
-    config: SolverConfig,
-    on_iteration=None,
-) -> SolveResult:
-    """Certified coupled iteration with in-place sweeps instead of
-    synchronous steps.  Bound updates and the stopping test are identical to
-    the synchronous engine; only the step operator differs."""
-    config = replace(config, method=Method.SVI, gauss_seidel=True).validated()
-    short = _shortcut(model, partition, config)
-    if short is not None:
-        return short
-
-    started = time.perf_counter()
-    ordering = StateOrdering.for_model(model)
-    maximize = config.direction is Direction.MAXIMIZE
-    initial = model.initial_state
-    lower = config.lower if config.lower is not None else -math.inf
-    upper = config.upper if config.upper is not None else math.inf
-    decision = neutral_decision(config.direction)
-
-    x = np.zeros(model.num_states)
-    if config.objective is Objective.PROBABILITY:
-        x[partition.goal] = 1.0
-    y = np.zeros(model.num_states)
-    y[partition.maybe] = 1.0
-
-    trace: list[TraceRow] | None = [] if config.record_trace else None
-    previous = (
-        IterationState(0, x.copy(), y.copy(), lower, upper, decision, None)
-        if on_iteration
-        else None
-    )
-    threshold = 2.0 * config.epsilon
-    k = 0
-    while True:
-        k += 1
-        if k > config.max_iterations:
-            elapsed = (time.perf_counter() - started) * 1000.0
-            raise IterationLimit(
-                f"no convergence within {config.max_iterations} iterations",
-                partial=_partial_result(
-                    x, y, initial, lower, upper, k - 1, elapsed, config, trace
-                ),
-            )
-        bound = upper if maximize else lower
-        x, y, scheduler, decision = gs_sweep(
-            model, partition, x, y, bound, decision,
-            config.direction, config.objective, ordering,
-        )
-        lower, upper = update_global_bounds(
-            x, y, partition, lower, upper, decision, config.direction
-        )
-        y0 = float(y[initial])
-        if trace is not None:
-            trace.append(TraceRow(k, lower, upper, decision, y0))
-        if on_iteration is not None:
-            state = IterationState(
-                k, x.copy(), y.copy(), lower, upper, decision,
-                None if model.is_mc else scheduler.copy(),
-            )
-            on_iteration(state, previous)
-            previous = state
-        if y0 == 0.0:
-            value = float(x[initial])
-            lo = hi = value
-            break
-        if (
-            math.isfinite(lower)
-            and math.isfinite(upper)
-            and y0 * (upper - lower) < threshold
-        ):
-            x0 = float(x[initial])
-            value = x0 + y0 * (lower + upper) / 2.0
-            lo = x0 + y0 * lower
-            hi = x0 + y0 * upper
-            break
-
-    elapsed = (time.perf_counter() - started) * 1000.0
-    return SolveResult(
-        value=value,
-        lower=lo,
-        upper=hi,
-        iterations=k,
-        time_ms=elapsed,
-        method=Method.SVI,
-        sound=True,
-        trace=trace,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +173,10 @@ class _ComponentSystem:
     absorbing sink at index ``m``.  Exiting through a transition earns the
     certified bound of the landed-on state, folded into per-choice exit
     rewards (a low and a high version — the only difference between the two
-    value accumulators).
+    value accumulators).  The model carries the driving accumulator's exit
+    rewards (high when maximizing, low when minimizing) as its choice
+    rewards, so the certified loop's step advances that accumulator;
+    ``follow_reward`` holds the other accumulator's.
     """
 
     def __init__(
@@ -280,45 +186,44 @@ class _ComponentSystem:
         low: np.ndarray,
         high: np.ndarray,
         objective: Objective,
+        direction: Direction,
     ):
+        drive, follow = (high, low) if direction is Direction.MAXIMIZE else (low, high)
         inner_of = {int(s): i for i, s in enumerate(members)}
         m = len(members)
         choices: list[list[dict[int, float]]] = []
-        reward_low: list[float] = []
-        reward_high: list[float] = []
+        drive_reward: list[float] = []
+        follow_reward: list[float] = []
         for s in members:
             group = []
             for c in model.choices_of(int(s)):
                 targets, probs = model.entries_of(c)
                 row: dict[int, float] = {}
                 base = float(model.choice_reward[c]) if objective is Objective.REWARD else 0.0
-                r_low = r_high = base
+                r_drive = r_follow = base
                 for t, p in zip(targets.tolist(), probs.tolist()):
                     inner = inner_of.get(t)
                     if inner is None:
                         row[m] = row.get(m, 0.0) + p
-                        r_low += p * float(low[t])
-                        r_high += p * float(high[t])
+                        r_drive += p * float(drive[t])
+                        r_follow += p * float(follow[t])
                     else:
                         row[inner] = row.get(inner, 0.0) + p
                 group.append(row)
-                reward_low.append(r_low)
-                reward_high.append(r_high)
+                drive_reward.append(r_drive)
+                follow_reward.append(r_follow)
             choices.append(group)
         choices.append([{m: 1.0}])  # the sink
-        reward_low.append(0.0)
-        reward_high.append(0.0)
+        drive_reward.append(0.0)
+        follow_reward.append(0.0)
 
-        self.model = validate_model(choices)
+        self.model = replace(validate_model(choices), choice_reward=np.asarray(drive_reward))
         goal = np.zeros(m + 1, dtype=bool)
         goal[m] = True
         self.partition = Partition(
             s0=np.zeros(m + 1, dtype=bool), goal=goal, maybe=~goal
         )
-        self.reward_low = np.asarray(reward_low)
-        self.reward_high = np.asarray(reward_high)
-        self.members = members
-        self.inner = np.arange(m, dtype=np.int64)
+        self.follow_reward = np.asarray(follow_reward)
 
 
 def _solve_component(
@@ -330,17 +235,18 @@ def _solve_component(
 
     Returns certified per-member ``(low, high)`` bounds and the number of
     iterations spent.  The driving accumulator — the one whose optimum the
-    query direction actually cares about — steers choice selection and the
-    decision value; the other accumulator follows the same choices.
+    query direction actually cares about — takes the certified loop's step,
+    which steers choice selection and the decision value; the following
+    accumulator then takes one step under the same choices.
     """
     model = system.model
-    inner = system.inner
     maximize = config.direction is Direction.MAXIMIZE
     kern = _Kernels(model, system.partition, Objective.REWARD, config.direction)
-    ordering = StateOrdering.for_model(model) if config.gauss_seidel else None
+    step, ordering = _coupled_stepper(kern, config.gauss_seidel)
+    inner = kern.maybe_idx
 
-    x_low = np.zeros(model.num_states)
-    x_high = np.zeros(model.num_states)
+    x_drive = np.zeros(model.num_states)
+    x_follow = np.zeros(model.num_states)
     y = kern.y_init.copy()
     lower = -math.inf
     upper = math.inf
@@ -356,46 +262,25 @@ def _solve_component(
                 f"{iteration_budget} iterations"
             )
         bound = upper if maximize else lower
-        if config.gauss_seidel:
-            x_low, x_high, y, decision = _component_sweep(
-                system, x_low, x_high, y, bound, decision, config, ordering
-            )
+        x_drive, y, chosen, decision = step(x_drive, y, bound, decision)
+        if ordering is None:
+            cx = np.add.reduceat(x_follow[kern.targets] * kern.probs, kern.choice_cuts)
+            x_follow = np.zeros(model.num_states)
+            x_follow[inner] = (cx + system.follow_reward)[chosen[inner]]
         else:
-            base_low = np.add.reduceat(x_low[kern.targets] * kern.probs, kern.choice_cuts)
-            base_high = np.add.reduceat(x_high[kern.targets] * kern.probs, kern.choice_cuts)
-            cx_low = base_low + system.reward_low
-            cx_high = base_high + system.reward_high
-            cy = kern.choice_y(y)
-            driving = cx_high if maximize else cx_low
-            if model.is_mc:
-                chosen = kern.single_choice
-            else:
-                if math.isinf(bound):
-                    chosen = kern.argopt_unbounded(driving, cy)
-                else:
-                    chosen = kern.argopt(driving + bound * cy, cy)
-                decision = kern._fold_decision(driving, cy, chosen, decision)
-            picked = chosen[inner]
-            new_x_low = np.zeros(model.num_states)
-            new_x_high = np.zeros(model.num_states)
-            new_y = np.zeros(model.num_states)
-            new_x_low[inner] = cx_low[picked]
-            new_x_high[inner] = cx_high[picked]
-            new_y[inner] = cy[picked]
-            x_low, x_high, y = new_x_low, new_x_high, new_y
+            x_follow = x_follow.copy()
+            for s in _sweep_states(system.partition, ordering):
+                c = int(chosen[s])
+                targets, probs = model.entries_of(c)
+                x_follow[s] = float(system.follow_reward[c]) + float(
+                    np.add.reduce(probs * x_follow[targets])
+                )
+        x_low, x_high = (x_follow, x_drive) if maximize else (x_drive, x_follow)
+        lower, upper = _tighten_bounds(
+            x_low, x_high, y, inner, lower, upper, decision, maximize
+        )
 
         ym = y[inner]
-        if np.all(ym < 1.0):
-            denominators = 1.0 - ym
-            ratio_low = x_low[inner] / denominators
-            ratio_high = x_high[inner] / denominators
-            if maximize:
-                lower = max(lower, float(ratio_low.min()))
-                upper = min(upper, max(decision, float(ratio_high.max())))
-            else:
-                lower = max(lower, min(decision, float(ratio_low.min())))
-                upper = min(upper, float(ratio_high.max()))
-
         if float(ym.max()) == 0.0:
             return x_low[inner].copy(), x_high[inner].copy(), k
         if math.isfinite(lower) and math.isfinite(upper):
@@ -403,83 +288,6 @@ def _solve_component(
             member_high = x_high[inner] + ym * upper
             if float(np.max(member_high - member_low)) < threshold:
                 return member_low, member_high, k
-
-
-def _component_sweep(
-    system: _ComponentSystem,
-    x_low: np.ndarray,
-    x_high: np.ndarray,
-    y: np.ndarray,
-    bound: float,
-    decision: float,
-    config: SolverConfig,
-    ordering: StateOrdering,
-):
-    """Gauss-Seidel flavor of the component step: in-place, state by state."""
-    model = system.model
-    maximize = config.direction is Direction.MAXIMIZE
-    x_low = x_low.copy()
-    x_high = x_high.copy()
-    y = y.copy()
-    for s in _sweep_states(system.partition, ordering):
-        s = int(s)
-        best_key = None
-        best = None
-        for local, choice in enumerate(model.choices_of(s)):
-            targets, probs = model.entries_of(choice)
-            ex_low = float(system.reward_low[choice]) + float(
-                np.add.reduce(probs * x_low[targets])
-            )
-            ex_high = float(system.reward_high[choice]) + float(
-                np.add.reduce(probs * x_high[targets])
-            )
-            ey = float(np.add.reduce(probs * y[targets]))
-            driving = ex_high if maximize else ex_low
-            if model.is_mc:
-                best = (ex_low, ex_high, ey)
-                break
-            # the same selection rule as ``find_action``
-            if math.isinf(bound):
-                key = (ey, driving if maximize else -driving)
-            else:
-                score = driving + bound * ey
-                key = (score if maximize else -score, -ey)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (ex_low, ex_high, ey)
-                chosen_local = local
-        if not model.is_mc:
-            # decision value against the not-chosen alternatives, driving side
-            chosen_choice = int(model.row_group_start[s]) + chosen_local
-            targets, probs = model.entries_of(chosen_choice)
-            chosen_x = (
-                float(system.reward_high[chosen_choice])
-                + float(np.add.reduce(probs * x_high[targets]))
-                if maximize
-                else float(system.reward_low[chosen_choice])
-                + float(np.add.reduce(probs * x_low[targets]))
-            )
-            chosen_y = float(np.add.reduce(probs * y[targets]))
-            for choice in model.choices_of(s):
-                if choice == chosen_choice:
-                    continue
-                targets, probs = model.entries_of(choice)
-                alt_x = (
-                    float(system.reward_high[choice])
-                    + float(np.add.reduce(probs * x_high[targets]))
-                    if maximize
-                    else float(system.reward_low[choice])
-                    + float(np.add.reduce(probs * x_low[targets]))
-                )
-                alt_y = float(np.add.reduce(probs * y[targets]))
-                y_delta = chosen_y - alt_y
-                if y_delta > 0.0:
-                    ratio = (alt_x - chosen_x) / y_delta
-                    decision = (
-                        max(decision, ratio) if maximize else min(decision, ratio)
-                    )
-        x_low[s], x_high[s], y[s] = best
-    return x_low, x_high, y, decision
 
 
 def topological_solve(
@@ -519,38 +327,26 @@ def topological_solve(
         inner = members[partition.maybe[members]]
         if inner.size == 0:
             continue
-        if inner.size == 1 and len(members) == 1:
-            s = int(inner[0])
-            self_loop = any(
-                bool(np.any(model.entries_of(c)[0] == s)) for c in model.choices_of(s)
+        s = int(inner[0])
+        if len(members) == 1 and not any(
+            np.any(model.entries_of(c)[0] == s) for c in model.choices_of(s)
+        ):
+            low[s], high[s] = _trivial_component_bounds(
+                model, s, low, high, config.direction, config.objective
             )
-            if not self_loop:
-                low[s], high[s] = _trivial_component_bounds(
-                    model, s, low, high, config.direction, config.objective
-                )
-                total_iterations += 1
-                if trace is not None:
-                    trace.append(
-                        TraceRow(
-                            total_iterations, float(low[s]), float(high[s]),
-                            neutral_decision(config.direction), math.nan,
-                        )
-                    )
-                continue
-        system = _ComponentSystem(model, inner, low, high, config.objective)
-        budget = config.max_iterations - total_iterations
-        member_low, member_high, spent = _solve_component(system, config, budget)
-        low[inner] = member_low
-        high[inner] = member_high
+            spent = 1
+        else:
+            system = _ComponentSystem(
+                model, inner, low, high, config.objective, config.direction
+            )
+            budget = config.max_iterations - total_iterations
+            low[inner], high[inner], spent = _solve_component(system, config, budget)
         total_iterations += spent
         if trace is not None:
             trace.append(
                 TraceRow(
-                    total_iterations,
-                    float(member_low.min()),
-                    float(member_high.max()),
-                    neutral_decision(config.direction),
-                    math.nan,
+                    total_iterations, float(low[inner].min()), float(high[inner].max()),
+                    neutral_decision(config.direction), math.nan,
                 )
             )
 

@@ -276,19 +276,6 @@ def test_bench_unknown_extra_key(tmp_path, capsys):
     assert "color" in capsys.readouterr().err
 
 
-def test_bench_parallel_keeps_row_order(model_dir, tmp_path):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    args = ["--methods", "svi,vi", "--epsilon", "1e-2"]
-    assert run(["bench", model_dir / "suite.manifest", "--out", serial] + args) == 0
-    assert run(["bench", model_dir / "suite.manifest", "--out", parallel,
-                "--workers", "4"] + args) == 0
-    keep = [col("model"), col("method"), col("iterations")]
-    a = [[row[i] for i in keep] for row in read_rows(serial)]
-    b = [[row[i] for i in keep] for row in read_rows(parallel)]
-    assert a == b
-
-
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

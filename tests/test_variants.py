@@ -106,7 +106,7 @@ def test_gs_sweep_returns_choices_and_decision(branching_mdp):
 
 def test_gs_engine_golden_chain(slow_chain):
     model, part = prepared(slow_chain)
-    res = sr.gauss_seidel_svi_solve(
+    res = sr.svi_solve(
         model, part, sr.SolverConfig(epsilon=1e-6, gauss_seidel=True)
     )
     assert res.sound
@@ -116,7 +116,7 @@ def test_gs_engine_golden_chain(slow_chain):
 
 def test_gs_engine_two_route_min(two_route_mdp):
     model, part = prepared(two_route_mdp, sr.Direction.MINIMIZE)
-    res = sr.gauss_seidel_svi_solve(
+    res = sr.svi_solve(
         model, part,
         sr.SolverConfig(
             direction=sr.Direction.MINIMIZE, epsilon=1e-8, gauss_seidel=True
@@ -128,12 +128,60 @@ def test_gs_engine_two_route_min(two_route_mdp):
 def test_gs_engine_iteration_limit(slow_chain):
     model, part = prepared(slow_chain)
     with pytest.raises(sr.IterationLimit) as info:
-        sr.gauss_seidel_svi_solve(
+        sr.svi_solve(
             model, part,
             sr.SolverConfig(epsilon=1e-12, gauss_seidel=True, max_iterations=1),
         )
     assert info.value.partial is not None
     assert info.value.partial.iterations == 1
+
+
+@pytest.mark.parametrize(
+    "name, direction",
+    [
+        ("slow_chain", sr.Direction.MAXIMIZE),
+        ("branching_mdp", sr.Direction.MAXIMIZE),
+        ("two_route_mdp", sr.Direction.MAXIMIZE),
+        ("two_route_mdp", sr.Direction.MINIMIZE),
+    ],
+    ids=["slow_chain-max", "branching_mdp-max", "two_route_mdp-max", "two_route_mdp-min"],
+)
+def test_gs_engine_reports_every_sweep(request, name, direction):
+    model, part = prepared(request.getfixturevalue(name), direction)
+    seen = []
+    res = sr.svi_solve(
+        model, part,
+        sr.SolverConfig(
+            direction=direction, epsilon=1e-8, gauss_seidel=True, record_trace=True
+        ),
+        lambda state, previous: seen.append((state, previous)),
+    )
+    assert [state.k for state, _ in seen] == list(range(1, res.iterations + 1))
+    assert len(res.trace) == res.iterations
+    ordering = sr.StateOrdering.for_model(model)
+    maybe = part.maybe_states
+    sizes = model.group_sizes()
+    for i, ((state, previous), row) in enumerate(zip(seen, res.trace)):
+        assert previous.k == state.k - 1
+        assert i == 0 or previous is seen[i - 1][0]
+        assert (state.lower, state.upper, state.decision) == (
+            row.lower, row.upper, row.decision,
+        )
+        assert state.y[model.initial_state] == row.y_init
+        # the hook sees exactly one in-place sweep from the previous snapshot
+        bound = previous.upper if direction is sr.Direction.MAXIMIZE else previous.lower
+        x, y, scheduler, decision = sr.gs_sweep(
+            model, part, previous.x, previous.y, bound, previous.decision,
+            direction, ordering=ordering,
+        )
+        np.testing.assert_array_equal(state.x, x)
+        np.testing.assert_array_equal(state.y, y)
+        assert state.decision == decision
+        if model.is_mc:
+            assert state.scheduler is None
+        else:
+            np.testing.assert_array_equal(state.scheduler[maybe], scheduler[maybe])
+            assert np.all(state.scheduler[maybe] < sizes[maybe])
 
 
 def test_gs_engine_matches_oracle_randomized():
@@ -240,12 +288,14 @@ def test_topological_needs_svi_config():
         sr.SolverConfig(method=sr.Method.VI, topological=True).validated()
 
 
-def test_topological_matches_oracle_randomized():
+@pytest.mark.parametrize("gauss_seidel", [False, True], ids=["synchronous", "gauss-seidel"])
+def test_topological_matches_oracle_randomized(gauss_seidel):
     rng = np.random.default_rng(123)
     for _ in range(30):
         model, goal = random_model(rng)
         res = sr.solve(
-            model, goal, sr.SolverConfig(epsilon=1e-8, topological=True)
+            model, goal,
+            sr.SolverConfig(epsilon=1e-8, topological=True, gauss_seidel=gauss_seidel),
         )
         absorbed = sr.make_absorbing(model, goal)
         part = sr.reach_partition(absorbed, goal, sr.Direction.MAXIMIZE)
