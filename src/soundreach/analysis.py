@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MecContainsGoal
-from .model import Direction, Partition, SparseModel, validate_model
+# validate_model stays imported: perfbench/tracing.py wraps it here.
+from .model import Direction, Partition, SparseModel, _map_mask, submodel, validate_model
 
 __all__ = [
     "SccOrder",
@@ -292,11 +293,6 @@ class QuotientMap:
             np.all(self.state_map == np.arange(len(self.state_map)))
         )
 
-    def map_mask(self, mask: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.model.num_states, dtype=bool)
-        out[self.state_map[np.asarray(mask, dtype=bool)]] = True
-        return out
-
 
 def collapse_end_components(model: SparseModel, partition: Partition) -> QuotientMap:
     """Collapse each maximal end component inside ``partition.maybe``.
@@ -323,64 +319,30 @@ def collapse_end_components(model: SparseModel, partition: Partition) -> Quotien
         identity = np.arange(model.num_states, dtype=np.int64)
         return QuotientMap(model=model, state_map=identity, partition=partition)
 
-    n = model.num_states
-    mec_of = np.full(n, -1, dtype=np.int64)
+    # Quotient states are numbered by their first member.
+    mec_of = np.full(model.num_states, -1, dtype=np.int64)
+    first = np.arange(model.num_states)
     for index, mec in enumerate(collapsible):
         mec_of[mec.states] = index
-    state_map = np.full(n, -1, dtype=np.int64)
-    mec_quotient = np.full(len(collapsible), -1, dtype=np.int64)
-    next_id = 0
-    for s in range(n):
-        m = mec_of[s]
-        if m == -1:
-            state_map[s] = next_id
-            next_id += 1
-        elif mec_quotient[m] == -1:
-            mec_quotient[m] = next_id
-            state_map[s] = next_id
-            next_id += 1
-        else:
-            state_map[s] = mec_quotient[m]
-    num_quotient = next_id
+        first[mec.states] = mec.states.min()
+    _, state_map = np.unique(first, return_inverse=True)
+    num_quotient = int(state_map.max()) + 1
 
-    choices: list[list] = [[] for _ in range(num_quotient)]
-    rewards: list[list[float]] = [[] for _ in range(num_quotient)]
-    for s in range(n):
-        q = int(state_map[s])
-        m = mec_of[s]
-        for c in model.choices_of(s):
-            tgt, prob = model.entries_of(c)
-            if m != -1 and np.all(mec_of[tgt] == m):
-                continue  # internal to the MEC: dropped
-            row: dict[int, float] = {}
-            for t, p in zip(tgt.tolist(), prob.tolist()):
-                qt = int(state_map[t])
-                row[qt] = row.get(qt, 0.0) + p
-            choices[q].append(row)
-            rewards[q].append(float(model.choice_reward[c]))
-
-    labels = {
-        name: _map_mask(mask, state_map, num_quotient)
-        for name, mask in model.labels.items()
-    }
-    quotient = validate_model(
-        choices,
-        initial_state=int(state_map[model.initial_state]),
-        rewards=rewards,
-        labels=labels,
-    )
+    # Drop the member choices whose successors all stay in their MEC.
+    choice_state = model.choice_state()
+    choice_mec = mec_of[choice_state]
+    stays = mec_of[model.entry_target] == np.repeat(choice_mec, np.diff(model.choice_start))
+    internal = np.logical_and.reduceat(stays, model.choice_start[:-1]) & (choice_mec != -1)
+    kept = np.flatnonzero(~internal)
+    owner = state_map[choice_state[kept]]
+    order = np.argsort(owner, kind="stable")
+    quotient = submodel(model, owner[order], kept[order], num_quotient, state_map)
     new_partition = Partition(
         s0=_map_mask(partition.s0, state_map, num_quotient),
         goal=_map_mask(partition.goal, state_map, num_quotient),
         maybe=_map_mask(partition.maybe, state_map, num_quotient),
     )
     return QuotientMap(model=quotient, state_map=state_map, partition=new_partition)
-
-
-def _map_mask(mask: np.ndarray, state_map: np.ndarray, num_quotient: int) -> np.ndarray:
-    out = np.zeros(num_quotient, dtype=bool)
-    out[state_map[np.asarray(mask, dtype=bool)]] = True
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ A model is stored in compressed row form: states own contiguous *row groups*
 of choices, choices own contiguous runs of transition entries.  A Markov
 chain is simply a model in which every row group has exactly one choice.
 All probabilities are float64 and every row is renormalized to sum to one
-exactly once, at validation time.
+exactly once, at validation time, bit for bit: ``validate_model`` serves
+input from outside the program, and ``submodel`` builds every derived model
+(``make_absorbing``, ``induce_mc``, end-component quotients, topological
+component subsystems) by copying rows that are already validated.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "validate_model",
     "make_absorbing",
     "induce_mc",
+    "submodel",
     "ROW_SUM_TOLERANCE",
 ]
 
@@ -322,70 +326,112 @@ def validate_model(
     )
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenate ``arange(start, start + length)`` over the pairs."""
+    offsets = lengths.cumsum() - lengths
+    total = int(offsets[-1] + lengths[-1]) if len(lengths) else 0
+    return np.arange(total) + (starts - offsets).repeat(lengths)
+
+
+def _map_mask(mask: np.ndarray, state_map: np.ndarray, num_states: int) -> np.ndarray:
+    out = np.zeros(num_states, dtype=bool)
+    out[state_map[np.asarray(mask, dtype=bool)]] = True
+    return out
+
+
+def submodel(
+    model: SparseModel,
+    owner: np.ndarray,
+    pick: np.ndarray,
+    num_states: int,
+    state_map: np.ndarray | None = None,
+) -> SparseModel:
+    """Build a model from the choices of the already-validated ``model``.
+
+    New choice ``i`` belongs to state ``owner[i]`` (non-decreasing) and copies
+    old choice ``pick[i]`` with its reward and action name; where
+    ``pick[i] < 0`` it is a reward-free, unnamed self-loop of its owner.
+    ``state_map`` (old state -> new state), when given, relabels targets,
+    labels and the initial state; where it merges targets of one choice,
+    their probabilities are summed in entry order.  Rows are copied as they
+    are and never renormalized, so picking every choice of ``model`` returns
+    a model equal to it bit for bit.  A new state that owns no choice raises
+    :class:`EmptyRowGroup`.
+    """
+    sizes = np.bincount(owner, minlength=num_states)
+    if not sizes.all():
+        raise EmptyRowGroup(f"state {int(np.argmin(sizes))} has no choice")
+    loop = pick < 0
+    old = np.where(loop, 0, pick)
+    cs = model.choice_start
+    lengths = np.where(loop, 1, cs[old + 1] - cs[old])
+    entries = _ranges(cs[old], lengths)
+    targets = model.entry_target[entries]
+    probs = model.entry_prob[entries]
+    labels, initial_state = dict(model.labels), model.initial_state
+    if state_map is not None:
+        targets = state_map[targets]
+        labels = {k: _map_mask(v, state_map, num_states) for k, v in labels.items()}
+        initial_state = int(state_map[initial_state])
+    choice_start = np.concatenate(([0], lengths.cumsum()))
+    targets[choice_start[:-1][loop]] = owner[loop]
+    probs[choice_start[:-1][loop]] = 1.0
+    if state_map is not None:
+        # Sort by (choice, target); the stable sort keeps duplicates in entry
+        # order, and they are summed left to right in that order.
+        key = np.arange(len(pick)).repeat(lengths) * num_states + targets
+        order = np.argsort(key, kind="stable")
+        key, probs = key[order], probs[order]
+        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        run = np.diff(np.append(first, len(key)))
+        targets, merged = key[first] % num_states, probs[first]
+        for k in range(1, int(run.max())):
+            merged[run > k] += probs[first[run > k] + k]
+        probs = merged
+        choice_start = np.searchsorted(key[first], np.arange(len(pick) + 1) * num_states)
+
+    names = model.choice_labels
+    if names is not None:
+        names = tuple(None if c < 0 else names[c] for c in pick.tolist())
+        names = None if all(name is None for name in names) else names
+    return SparseModel(
+        num_states=num_states,
+        initial_state=initial_state,
+        row_group_start=_freeze(np.concatenate(([0], sizes.cumsum()))),
+        choice_start=_freeze(choice_start),
+        entry_target=_freeze(targets),
+        entry_prob=_freeze(probs),
+        choice_reward=_freeze(np.where(loop, 0.0, model.choice_reward[old])),
+        labels=labels,
+        choice_labels=names,
+    )
+
+
 def make_absorbing(model: SparseModel, states: np.ndarray) -> SparseModel:
     """Return a copy in which every state in ``states`` only loops on itself.
 
-    The marked states get a single choice with probability 1 back to
-    themselves and reward 0; all other rows are kept unchanged.  Applying the
-    function twice is a no-op.
+    The marked states get a single unnamed choice with probability 1 back to
+    themselves and reward 0; all other rows are copied bit for bit.  Applying
+    the function twice gives the same model as applying it once.
     """
     mask = np.asarray(states, dtype=bool)
     if len(mask) != model.num_states:
         raise DanglingTarget("absorbing mask length does not match state count")
-
-    choices: list[list] = []
-    rewards: list[list[float]] = []
-    new_choice_labels: list = []
-    has_choice_labels = model.choice_labels is not None
-    for s in range(model.num_states):
-        if mask[s]:
-            choices.append([[(s, 1.0)]])
-            rewards.append([0.0])
-            if has_choice_labels:
-                new_choice_labels.append(None)
-        else:
-            group = []
-            group_rewards = []
-            for c in model.choices_of(s):
-                t, p = model.entries_of(c)
-                group.append(list(zip(t.tolist(), p.tolist())))
-                group_rewards.append(float(model.choice_reward[c]))
-                if has_choice_labels:
-                    new_choice_labels.append(model.choice_labels[c])
-            choices.append(group)
-            rewards.append(group_rewards)
-
-    return validate_model(
-        choices,
-        initial_state=model.initial_state,
-        rewards=rewards,
-        labels={name: arr.copy() for name, arr in model.labels.items()},
-        choice_labels=new_choice_labels if has_choice_labels else None,
-    )
+    sizes = np.where(mask, 1, model.group_sizes())
+    owner = np.arange(model.num_states).repeat(sizes)
+    pick = _ranges(model.row_group_start[:-1], sizes)
+    pick[mask[owner]] = -1
+    return submodel(model, owner, pick, model.num_states)
 
 
 def induce_mc(model: SparseModel, scheduler: Scheduler) -> SparseModel:
     """Restrict an MDP to the single choice per state picked by ``scheduler``."""
     if len(scheduler) != model.num_states:
         raise InvalidChoiceIndex("scheduler length does not match state count")
-
-    choices: list[list] = []
-    rewards: list[list[float]] = []
-    sizes = model.group_sizes()
-    for s in range(model.num_states):
-        local = int(scheduler.choice_of[s])
-        if not (0 <= local < sizes[s]):
-            raise InvalidChoiceIndex(
-                f"state {s}: choice {local} not in 0..{int(sizes[s]) - 1}"
-            )
-        c = int(model.row_group_start[s]) + local
-        t, p = model.entries_of(c)
-        choices.append([list(zip(t.tolist(), p.tolist()))])
-        rewards.append([float(model.choice_reward[c])])
-
-    return validate_model(
-        choices,
-        initial_state=model.initial_state,
-        rewards=rewards,
-        labels={name: arr.copy() for name, arr in model.labels.items()},
-    )
+    local, sizes = scheduler.choice_of, model.group_sizes()
+    bad = np.flatnonzero((local < 0) | (local >= sizes))
+    if len(bad):
+        s = bad[0]
+        raise InvalidChoiceIndex(f"state {s}: choice {local[s]} not in 0..{sizes[s] - 1}")
+    n = model.num_states
+    return submodel(model, np.arange(n), model.row_group_start[:-1] + local, n)

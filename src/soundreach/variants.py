@@ -29,7 +29,8 @@ import numpy as np
 
 from .analysis import scc_order
 from .errors import IterationLimit
-from .model import Direction, Partition, SparseModel, validate_model
+# validate_model stays imported: perfbench/tracing.py wraps it here.
+from .model import Direction, Partition, SparseModel, _ranges, submodel, validate_model
 from .solvers import (
     Method,
     Objective,
@@ -189,41 +190,31 @@ class _ComponentSystem:
         direction: Direction,
     ):
         drive, follow = (high, low) if direction is Direction.MAXIMIZE else (low, high)
-        inner_of = {int(s): i for i, s in enumerate(members)}
         m = len(members)
-        choices: list[list[dict[int, float]]] = []
-        drive_reward: list[float] = []
-        follow_reward: list[float] = []
-        for s in members:
-            group = []
-            for c in model.choices_of(int(s)):
-                targets, probs = model.entries_of(c)
-                row: dict[int, float] = {}
-                base = float(model.choice_reward[c]) if objective is Objective.REWARD else 0.0
-                r_drive = r_follow = base
-                for t, p in zip(targets.tolist(), probs.tolist()):
-                    inner = inner_of.get(t)
-                    if inner is None:
-                        row[m] = row.get(m, 0.0) + p
-                        r_drive += p * float(drive[t])
-                        r_follow += p * float(follow[t])
-                    else:
-                        row[inner] = row.get(inner, 0.0) + p
-                group.append(row)
-                drive_reward.append(r_drive)
-                follow_reward.append(r_follow)
-            choices.append(group)
-        choices.append([{m: 1.0}])  # the sink
-        drive_reward.append(0.0)
-        follow_reward.append(0.0)
-
-        self.model = replace(validate_model(choices), choice_reward=np.asarray(drive_reward))
+        gs, cs = model.row_group_start, model.choice_start
+        sizes = gs[members + 1] - gs[members]
+        choices = _ranges(gs[members], sizes)
+        state_map = np.full(model.num_states, m, dtype=np.int64)
+        state_map[members] = np.arange(m)
+        owner = np.repeat(np.arange(m + 1), np.append(sizes, 1))
+        sub = submodel(model, owner, np.append(choices, -1), m + 1, state_map)
+        lengths = cs[choices + 1] - cs[choices]
+        entries = _ranges(cs[choices], lengths)
+        targets = model.entry_target[entries]
+        exit_prob = np.where(state_map[targets] == m, model.entry_prob[entries], 0.0)
+        cuts = np.cumsum(lengths) - lengths
+        base = model.choice_reward[choices] if objective is Objective.REWARD else 0.0
+        drive_reward = base + np.add.reduceat(exit_prob * drive[targets], cuts)
+        follow_reward = base + np.add.reduceat(exit_prob * follow[targets], cuts)
+        # The sink (``m``) is the self-loop choice and earns nothing.
+        drive_reward = np.append(drive_reward, 0.0)
+        self.model = replace(sub, choice_reward=drive_reward, labels={}, initial_state=0)
         goal = np.zeros(m + 1, dtype=bool)
         goal[m] = True
         self.partition = Partition(
             s0=np.zeros(m + 1, dtype=bool), goal=goal, maybe=~goal
         )
-        self.follow_reward = np.asarray(follow_reward)
+        self.follow_reward = np.append(follow_reward, 0.0)
 
 
 def _solve_component(

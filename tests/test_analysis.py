@@ -235,6 +235,31 @@ def test_collapse_merges_loop_and_preserves_values():
         assert collapsed[quotient.state_map[s]] == pytest.approx(original[s], abs=1e-12)
 
 
+def test_collapse_sums_merged_targets_in_the_quotient():
+    # 0 <-> 1 is an end component; state 2 enters it through both members
+    m = sr.validate_model(
+        [[{1: 1.0}, {3: 1.0}], [{0: 1.0}], [{0: 0.3, 1: 0.3, 3: 0.4}], [{3: 1.0}]]
+    )
+    goal = goal_mask(m, 3)
+    absorbed = sr.make_absorbing(m, goal)
+    partition = sr.reach_partition(absorbed, goal, sr.Direction.MAXIMIZE)
+    quotient = sr.collapse_end_components(absorbed, partition)
+    np.testing.assert_array_equal(quotient.state_map, [0, 0, 1, 2])
+    (exit_choice,) = quotient.model.choices_of(0)  # the internal loop is dropped
+    np.testing.assert_array_equal(quotient.model.entries_of(exit_choice)[0], [2])
+    (choice,) = quotient.model.choices_of(1)
+    targets, probs = quotient.model.entries_of(choice)
+    assert targets.tolist() == [0, 2]
+    assert probs.tolist() == [0.6, 0.4]
+
+
+def test_collapse_component_without_exit_is_an_empty_row_group():
+    m = sr.validate_model([[{1: 1.0}], [{0: 1.0}], [{2: 1.0}]])
+    goal = goal_mask(m, 2)
+    with pytest.raises(sr.EmptyRowGroup):
+        sr.collapse_end_components(m, sr.reward_partition(m, goal))
+
+
 def test_collapse_rejects_goal_inside_component():
     m = two_state_loop_with_exit()
     partition = sr.Partition(

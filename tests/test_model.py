@@ -126,6 +126,20 @@ def test_make_absorbing(branching_mdp):
     assert again == absorbed
 
 
+def test_make_absorbing_copies_rows_bit_for_bit():
+    # validation divides this row by its sum, 0.9999999999999999, and stores
+    # [0.6000000000000001, 0.30000000000000004, 0.10000000000000002]; dividing
+    # the stored row by its own sum again would move the last entry
+    m = sr.validate_model([[{0: 0.6, 1: 0.3, 2: 0.1}], [{1: 1.0}], [{2: 1.0}]])
+    assert m.entry_prob.tolist()[:3] == [
+        0.6000000000000001, 0.30000000000000004, 0.10000000000000002
+    ]
+    empty = np.zeros(3, dtype=bool)
+    once = sr.make_absorbing(m, empty)
+    assert once == m
+    assert sr.make_absorbing(once, empty) == once
+
+
 def test_make_absorbing_clears_rewards():
     m = sr.validate_model([[{1: 1.0}], [{1: 1.0}]], rewards=[[1.0], [9.0]])
     mask = np.array([False, True])
@@ -144,6 +158,16 @@ def test_induce_mc(branching_mdp):
     targets, probs = fixed.entries_of(0)
     np.testing.assert_array_equal(targets, [2, 3])
     np.testing.assert_allclose(probs, [0.8, 0.2])
+
+
+def test_induce_mc_keeps_action_names():
+    m = sr.validate_model(
+        [[{1: 1.0}, {0: 1.0}], [{1: 1.0}]], choice_labels=["go", "stay", None]
+    )
+    assert sr.induce_mc(m, sr.Scheduler(np.array([1, 0]))).choice_labels == ("stay", None)
+    assert sr.induce_mc(m, sr.Scheduler(np.array([0, 0]))).choice_labels == ("go", None)
+    absorbed = sr.make_absorbing(m, np.array([True, False]))
+    assert absorbed.choice_labels is None  # a self-loop has no name
 
 
 def test_induce_mc_bad_scheduler(branching_mdp):
