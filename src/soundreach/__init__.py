@@ -89,12 +89,7 @@ from .solvers import (
     update_global_bounds,
     vi_solve,
 )
-from .variants import (
-    StateOrdering,
-    gauss_seidel_sweep_values,
-    gs_sweep,
-    topological_solve,
-)
+from .variants import topological_solve
 
 __version__ = "0.1.0"
 
@@ -148,9 +143,6 @@ __all__ = [
     "oracle_solve",
     "solve",
     # variants
-    "StateOrdering",
-    "gs_sweep",
-    "gauss_seidel_sweep_values",
     "topological_solve",
     # command line
     "run_cli",

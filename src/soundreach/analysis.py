@@ -3,7 +3,7 @@
 Everything here works on the directed graph underlying a model.  The
 functions feed the numeric solvers: ``prob0_max``/``prob0_min`` identify
 states whose reachability value is exactly zero, ``scc_order`` drives
-Gauss-Seidel orderings and the topological solver, and the end-component
+the topological solver, and the end-component
 machinery (``mec_decompose``, ``collapse_end_components``,
 ``check_contracting``) establishes the unique-fixpoint precondition that the
 certified solvers require.

@@ -46,7 +46,6 @@ CSV_HEADER = [
     "choices",
     "transitions",
     "method",
-    "gauss_seidel",
     "topological",
     "direction",
     "objective",
@@ -58,13 +57,7 @@ CSV_HEADER = [
     "time_ms",
 ]
 
-_VARIANTS = {
-    "plain": (False, False),
-    "gauss-seidel": (True, False),
-    "gs": (True, False),
-    "topological": (False, True),
-    "topo": (False, True),
-}
+_VARIANTS = {"plain": False, "topological": True, "topo": True}
 
 
 def _fmt(value: float) -> str:
@@ -81,7 +74,6 @@ class BenchRecord:
     choices: int
     transitions: int
     method: str
-    gauss_seidel: bool
     topological: bool
     direction: str
     objective: str
@@ -100,7 +92,6 @@ class BenchRecord:
             str(self.choices),
             str(self.transitions),
             self.method,
-            str(self.gauss_seidel),
             str(self.topological),
             self.direction,
             self.objective,
@@ -147,7 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method", choices=["vi", "ii", "svi"], default="svi",
         help="iteration scheme (default: svi)",
     )
-    check.add_argument("--gauss-seidel", action="store_true", help="in-place sweeps")
     check.add_argument(
         "--topological", action="store_true", help="solve SCC by SCC (svi only)"
     )
@@ -170,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--variants", default="plain",
-        help="comma-separated subset of plain,gauss-seidel,topological (default: plain)",
+        help="comma-separated subset of plain,topological (default: plain)",
     )
     bench.add_argument("--epsilon", type=float, default=1e-6, help="precision (default: 1e-6)")
 
@@ -185,7 +175,6 @@ def _config_from_args(args: argparse.Namespace) -> SolverConfig:
         direction=Direction.parse(args.direction),
         objective=Objective.parse(args.objective),
         epsilon=args.epsilon,
-        gauss_seidel=args.gauss_seidel,
         topological=args.topological,
         lower=args.lower,
         upper=args.upper,
@@ -222,7 +211,6 @@ def _run_check(args: argparse.Namespace) -> int:
             choices=bundle.model.num_choices,
             transitions=bundle.model.num_transitions,
             method=config.method.value,
-            gauss_seidel=config.gauss_seidel,
             topological=config.topological,
             direction=config.direction.value,
             objective=config.objective.value,
@@ -238,10 +226,17 @@ def _run_check(args: argparse.Namespace) -> int:
 
 
 def _append_record(path: Path, record: BenchRecord) -> None:
-    new_file = not path.exists()
+    """Append one row; a new or empty file gets the header first, and a file
+    with any other header is left untouched."""
+    header = None
+    if path.exists():
+        with path.open(newline="") as handle:
+            header = next(csv.reader(handle), None)
+        if header is not None and header != CSV_HEADER:
+            raise MalformedCsv(f"{path}: unexpected header {header!r}")
     with path.open("a", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        if new_file:
+        if header is None:
             writer.writerow(CSV_HEADER)
         writer.writerow(record.to_row())
 
@@ -318,7 +313,7 @@ def _parse_methods(text: str) -> list[Method]:
     return methods
 
 
-def _parse_variants(text: str) -> list[tuple[bool, bool]]:
+def _parse_variants(text: str) -> list[bool]:
     variants = []
     for token in text.split(","):
         token = token.strip()
@@ -326,11 +321,11 @@ def _parse_variants(text: str) -> list[tuple[bool, bool]]:
             continue
         if token not in _VARIANTS:
             raise ConfigError(
-                f"unknown variant {token!r} (expected plain, gauss-seidel or topological)"
+                f"unknown variant {token!r} (expected plain or topological)"
             )
-        flags = _VARIANTS[token]
-        if flags not in variants:
-            variants.append(flags)
+        topological = _VARIANTS[token]
+        if topological not in variants:
+            variants.append(topological)
     if not variants:
         raise ConfigError("no variants selected")
     return variants
@@ -341,7 +336,6 @@ def _bench_one(
     model,
     load_error: str | None,
     method: Method,
-    gauss_seidel: bool,
     topological: bool,
     epsilon: float,
 ) -> BenchRecord:
@@ -351,7 +345,6 @@ def _bench_one(
         choices=model.num_choices if model is not None else 0,
         transitions=model.num_transitions if model is not None else 0,
         method=method.value,
-        gauss_seidel=gauss_seidel,
         topological=topological,
         direction=instance.direction.value,
         objective=instance.objective.value,
@@ -370,7 +363,6 @@ def _bench_one(
         direction=instance.direction,
         objective=instance.objective,
         epsilon=epsilon,
-        gauss_seidel=gauss_seidel,
         topological=topological,
     )
     try:
@@ -424,11 +416,11 @@ def bench_run(
     records = []
     for instance, model, load_error in loaded:
         for method in method_list:
-            for gauss_seidel, topological in variant_list:
+            for topological in variant_list:
                 if topological and method is not Method.SVI:
                     continue
                 records.append(_bench_one(
-                    instance, model, load_error, method, gauss_seidel, topological, epsilon
+                    instance, model, load_error, method, topological, epsilon
                 ))
 
     with out.open("w", newline="") as handle:
@@ -489,7 +481,7 @@ def compare_report(csv_path) -> str:
     for row in rows:
         if row["error"] is not None or row["iterations"] < 0:
             continue
-        if row["gauss_seidel"] != "False" or row["topological"] != "False":
+        if row["topological"] != "False":
             continue
         if row["method"] not in ("svi", "ii"):
             continue

@@ -10,6 +10,8 @@ and derives certified global bounds from the ratios ``x / (1 - y)``.  On
 MDPs it additionally tracks a *decision value* that keeps the upper-bound
 update honest when the preferred choice of a state could flip.
 
+``find_action`` and ``decision_value`` expose the step's choice selection
+and decision value for one state; they run the same kernels as the loop.
 ``oracle_solve`` is the exact reference: dense linear algebra for chains,
 exhaustive positional-scheduler enumeration for (small) MDPs.  ``solve``
 wires graph preprocessing and an engine together for one query.
@@ -104,7 +106,6 @@ class SolverConfig:
     direction: Direction = Direction.MAXIMIZE
     objective: Objective = Objective.PROBABILITY
     epsilon: float = 1e-6
-    gauss_seidel: bool = False
     topological: bool = False
     lower: float | None = None
     upper: float | None = None
@@ -182,7 +183,11 @@ def neutral_decision(direction: Direction) -> float:
 
 
 class _Kernels:
-    """Precomputed array views for fast synchronous iteration steps."""
+    """Precomputed array views for fast synchronous iteration steps.
+
+    Choice selection (``select``) and the decision-value fold exist only
+    here; ``find_action`` and ``decision_value`` run them for one state.
+    """
 
     def __init__(
         self,
@@ -191,10 +196,7 @@ class _Kernels:
         objective: Objective,
         direction: Direction,
     ):
-        self.model = model
         self.partition = partition
-        self.objective = objective
-        self.direction = direction
         self.targets = model.entry_target
         self.probs = model.entry_prob
         self.choice_cuts = model.choice_start[:-1]
@@ -279,6 +281,12 @@ class _Kernels:
         eligible = y_tied & (masked == np.repeat(x_best, self.group_sizes))
         return self._first_index_where(eligible)
 
+    def select(self, cx: np.ndarray, cy: np.ndarray, bound: float) -> np.ndarray:
+        """Per state: global index of the choice the certified step takes."""
+        if math.isinf(bound):
+            return self.argopt_unbounded(cx, cy)
+        return self.argopt(cx + bound * cy, cy)
+
     # -- full iteration steps -------------------------------------------------
 
     def bellman(self, x: np.ndarray) -> np.ndarray:
@@ -302,10 +310,7 @@ class _Kernels:
         if self.is_mc:
             chosen = self.group_cuts  # a chain's one choice per state
         else:
-            if math.isinf(bound):
-                chosen = self.argopt_unbounded(cx, cy)
-            else:
-                chosen = self.argopt(cx + bound * cy, cy)
+            chosen = self.select(cx, cy, bound)
             decision = self._fold_decision(cx, cy, chosen, decision)
 
         x_new = self.x_boundary.copy()
@@ -334,7 +339,7 @@ class _Kernels:
 
 
 # ---------------------------------------------------------------------------
-# elementary operations (also used by the Gauss-Seidel variants and tests)
+# elementary operations: single steps and one-state views of the kernels
 # ---------------------------------------------------------------------------
 
 
@@ -386,50 +391,23 @@ def bellman_step_h(
     return out
 
 
-def _choice_expectations(
-    model: SparseModel, x: np.ndarray, y: np.ndarray, choice: int, objective: Objective
-) -> tuple[float, float]:
-    targets, probs = model.entries_of(choice)
-    ex = float(np.add.reduce(probs * x[targets]))
-    if objective is Objective.REWARD:
-        ex += float(model.choice_reward[choice])
-    ey = float(np.add.reduce(probs * y[targets]))
-    return ex, ey
-
-
-def _state_expectations(
-    model: SparseModel, x: np.ndarray, y: np.ndarray, state: int, objective: Objective
-) -> list[tuple[float, float]]:
-    return [_choice_expectations(model, x, y, c, objective) for c in model.choices_of(state)]
-
-
-def _pick(expectations: list[tuple[float, float]], bound: float, maximize: bool) -> int:
-    """The selection rule of ``find_action`` over ``(E[x], E[y])`` per choice."""
-    best_local = 0
-    best_key: tuple | None = None
-    for local, (ex, ey) in enumerate(expectations):
-        if math.isinf(bound):
-            key = (ey, ex if maximize else -ex)
-        else:
-            score = ex + bound * ey
-            key = (score if maximize else -score, -ey)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_local = local
-    return best_local
-
-
-def _fold_ratios(
-    expectations: list[tuple[float, float]], chosen: int, decision: float, maximize: bool
-) -> float:
-    """Fold the decision ratios of ``decision_value`` into ``decision``."""
-    ex_chosen, ey_chosen = expectations[chosen]
-    for local, (ex_alt, ey_alt) in enumerate(expectations):
-        y_delta = ey_chosen - ey_alt
-        if local != chosen and y_delta > 0.0:
-            ratio = (ex_alt - ex_chosen) / y_delta
-            decision = max(decision, ratio) if maximize else min(decision, ratio)
-    return decision
+def _one_state_kernels(
+    model: SparseModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    state: int,
+    direction: Direction,
+    objective: Objective,
+) -> tuple[_Kernels, np.ndarray, np.ndarray]:
+    """Kernels whose only undecided state is ``state``, and the per-choice
+    expectations of ``x`` and ``y``."""
+    maybe = np.zeros(model.num_states, dtype=bool)
+    maybe[state] = True
+    partition = Partition(s0=~maybe, goal=np.zeros_like(maybe), maybe=maybe)
+    kern = _Kernels(model, partition, objective, direction)
+    cx = kern.choice_x(np.asarray(x, dtype=np.float64))
+    cy = kern.choice_y(np.asarray(y, dtype=np.float64))
+    return kern, cx, cy
 
 
 def find_action(
@@ -451,8 +429,8 @@ def find_action(
     alternative pins the bound through its decision value.  Remaining ties
     resolve to the lowest choice index.
     """
-    expectations = _state_expectations(model, x, y, state, objective)
-    return _pick(expectations, bound, direction is Direction.MAXIMIZE)
+    kern, cx, cy = _one_state_kernels(model, x, y, state, direction, objective)
+    return int(kern.select(cx, cy, bound)[state] - kern.group_cuts[state])
 
 
 def decision_value(
@@ -479,12 +457,12 @@ def decision_value(
     place for good.  The selection rule of ``find_action`` (ties to the
     smallest y-expectation) leaves no tied alternative with a smaller
     y-expectation, so exact ties never contribute.  Near-ties at rounding
-    scale still can; see ROADMAP item 1.
+    scale still can; see ROADMAP item 2.
     """
-    expectations = _state_expectations(model, x, y, state, objective)
-    return _fold_ratios(
-        expectations, chosen, neutral_decision(direction), direction is Direction.MAXIMIZE
-    )
+    kern, cx, cy = _one_state_kernels(model, x, y, state, direction, objective)
+    picked = kern.group_cuts.copy()
+    picked[state] += chosen
+    return kern._fold_decision(cx, cy, picked, neutral_decision(direction))
 
 
 def update_global_bounds(
@@ -602,30 +580,6 @@ def _interval_result(
     )
 
 
-def _coupled_stepper(kern: _Kernels, gauss_seidel: bool):
-    """The step of the certified loop and, for Gauss-Seidel, its sweep order.
-
-    The step maps ``(x, y, bound, decision)`` to ``(x', y', chosen,
-    decision')`` with ``chosen`` the global choice index per state.
-    Synchronous runs take ``_Kernels.coupled_step``; Gauss-Seidel runs take
-    ``gs_sweep`` with states in SCC order, successors first.
-    """
-    if not gauss_seidel:
-        return kern.coupled_step, None
-    from .variants import StateOrdering, gs_sweep
-
-    ordering = StateOrdering.for_model(kern.model)
-
-    def sweep(x, y, bound, decision):
-        x, y, local, decision = gs_sweep(
-            kern.model, kern.partition, x, y, bound, decision,
-            kern.direction, kern.objective, ordering,
-        )
-        return x, y, kern.group_cuts + local, decision
-
-    return sweep, ordering
-
-
 def svi_solve(
     model: SparseModel,
     partition: Partition,
@@ -637,8 +591,6 @@ def svi_solve(
     Stops once ``y[init] * (upper - lower) < 2 * epsilon`` — or exactly when
     ``y[init]`` hits zero, in which case ``x[init]`` is the exact answer —
     and returns the midpoint of the certified interval at the initial state.
-    ``config.gauss_seidel`` swaps the synchronous step for in-place sweeps;
-    the bound update, the stopping test, the trace and the hook stay the same.
     """
     config = replace(config, method=Method.SVI).validated()
     if config.topological:
@@ -652,7 +604,6 @@ def svi_solve(
 
     started = time.perf_counter()
     kern = _Kernels(model, partition, config.objective, config.direction)
-    step, _ = _coupled_stepper(kern, config.gauss_seidel)
     maximize = config.direction is Direction.MAXIMIZE
     initial = model.initial_state
     lower = config.lower if config.lower is not None else -math.inf
@@ -680,7 +631,7 @@ def svi_solve(
                 ),
             )
         bound = upper if maximize else lower
-        x, y, chosen, decision = step(x, y, bound, decision)
+        x, y, chosen, decision = kern.coupled_step(x, y, bound, decision)
         lower, upper = update_global_bounds(
             x, y, partition, lower, upper, decision, config.direction
         )
@@ -705,19 +656,6 @@ def svi_solve(
     return _interval_result(x, y, initial, lower, upper, k, elapsed, config, trace, True)
 
 
-def _value_stepper(model: SparseModel, partition: Partition, config: SolverConfig):
-    """The VI/II step: a synchronous Bellman step, or with ``gauss_seidel``
-    an in-place sweep with states in SCC order, successors first."""
-    if not config.gauss_seidel:
-        return _Kernels(model, partition, config.objective, config.direction).bellman
-    from .variants import StateOrdering, gauss_seidel_sweep_values
-
-    ordering = StateOrdering.for_model(model)
-    return lambda vec: gauss_seidel_sweep_values(
-        model, partition, vec, config.direction, config.objective, ordering
-    )
-
-
 def vi_solve(
     model: SparseModel, partition: Partition, config: SolverConfig
 ) -> SolveResult:
@@ -732,7 +670,7 @@ def vi_solve(
         return short
 
     started = time.perf_counter()
-    stepper = _value_stepper(model, partition, config)
+    step = _Kernels(model, partition, config.objective, config.direction).bellman
     x = np.zeros(model.num_states)
     if config.objective is Objective.PROBABILITY:
         x[partition.goal] = 1.0
@@ -749,7 +687,7 @@ def vi_solve(
                     value, value, value, k - 1, elapsed, Method.VI, False, trace
                 ),
             )
-        x_new = stepper(x)
+        x_new = step(x)
         difference = float(np.max(np.abs(x_new - x)))
         x = x_new
         if trace is not None:
@@ -829,7 +767,7 @@ def ii_solve(
 
     started = time.perf_counter()
     low, high = _ii_start_vectors(model, partition, config)
-    stepper = _value_stepper(model, partition, config)
+    step = _Kernels(model, partition, config.objective, config.direction).bellman
     initial = model.initial_state
     trace: list[TraceRow] | None = [] if config.record_trace else None
     threshold = 2.0 * config.epsilon
@@ -853,8 +791,8 @@ def ii_solve(
                     trace,
                 ),
             )
-        low = stepper(low)
-        high = stepper(high)
+        low = step(low)
+        high = step(high)
         if trace is not None:
             trace.append(
                 TraceRow(k, float(low[initial]), float(high[initial]), neutral, math.nan)

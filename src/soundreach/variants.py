@@ -1,13 +1,6 @@
-"""Solver variants: Gauss-Seidel sweeps and the SCC-by-SCC topological solve.
+"""The SCC-by-SCC topological solve.
 
-The Gauss-Seidel sweeps update states in place, one at a time, so each
-state immediately sees fresh values of the states processed before it in the
-sweep.  The default sweep order lists strongly connected components
-successors-first, which propagates information from the goal backwards in as
-few sweeps as possible.  ``svi_solve``, ``vi_solve`` and ``ii_solve`` take
-them as their step when ``gauss_seidel`` is set.
-
-The topological solver processes one SCC at a time (again successors-first).
+The topological solver processes one SCC at a time, successors first.
 Trivial components — a single state that cannot revisit itself — are settled
 by a single Bellman evaluation over the already-certified bounds of their
 successors.  Nontrivial components run a coupled iteration with *two* value
@@ -23,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,106 +30,13 @@ from .solvers import (
     SolveResult,
     SolverConfig,
     TraceRow,
-    _coupled_stepper,
-    _fold_ratios,
     _Kernels,
-    _pick,
     _shortcut,
-    _state_expectations,
     _tighten_bounds,
     neutral_decision,
 )
 
-__all__ = [
-    "StateOrdering",
-    "gs_sweep",
-    "gauss_seidel_sweep_values",
-    "topological_solve",
-]
-
-
-@dataclass(frozen=True)
-class StateOrdering:
-    """A sweep order over the states (a permutation of ``0..n-1``)."""
-
-    order: np.ndarray
-
-    @classmethod
-    def identity(cls, num_states: int) -> "StateOrdering":
-        return cls(order=np.arange(num_states, dtype=np.int64))
-
-    @classmethod
-    def for_model(cls, model: SparseModel) -> "StateOrdering":
-        """Successors-first order: SCCs in reverse topological order,
-        states inside one component by ascending index."""
-        components = scc_order(model).components
-        return cls(order=np.concatenate(components) if components else np.empty(0, np.int64))
-
-
-def _sweep_states(partition: Partition, ordering: StateOrdering) -> np.ndarray:
-    order = ordering.order
-    return order[partition.maybe[order]]
-
-
-def gauss_seidel_sweep_values(
-    model: SparseModel,
-    partition: Partition,
-    values: np.ndarray,
-    direction: Direction = Direction.MAXIMIZE,
-    objective: Objective = Objective.PROBABILITY,
-    ordering: StateOrdering | None = None,
-) -> np.ndarray:
-    """One in-place optimal Bellman sweep (the Gauss-Seidel VI/II step)."""
-    if ordering is None:
-        ordering = StateOrdering.for_model(model)
-    x = np.array(values, dtype=np.float64)
-    maximize = direction is Direction.MAXIMIZE
-    for s in _sweep_states(partition, ordering):
-        best = None
-        for choice in model.choices_of(int(s)):
-            targets, probs = model.entries_of(choice)
-            val = float(np.add.reduce(probs * x[targets]))
-            if objective is Objective.REWARD:
-                val += float(model.choice_reward[choice])
-            if best is None or (val > best if maximize else val < best):
-                best = val
-        x[s] = best
-    return x
-
-
-def gs_sweep(
-    model: SparseModel,
-    partition: Partition,
-    x: np.ndarray,
-    y: np.ndarray,
-    bound: float,
-    decision: float,
-    direction: Direction = Direction.MAXIMIZE,
-    objective: Objective = Objective.PROBABILITY,
-    ordering: StateOrdering | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """One in-place coupled sweep; returns ``(x', y', scheduler, decision')``.
-
-    States are visited in sweep order; each sees the values already refreshed
-    this sweep.  ``scheduler`` records the local choice taken per state (the
-    state's single choice for chains).
-    """
-    if ordering is None:
-        ordering = StateOrdering.for_model(model)
-    x = np.array(x, dtype=np.float64)
-    y = np.array(y, dtype=np.float64)
-    scheduler = np.zeros(model.num_states, dtype=np.int64)
-    maximize = direction is Direction.MAXIMIZE
-    for s in _sweep_states(partition, ordering):
-        s = int(s)
-        expectations = _state_expectations(model, x, y, s, objective)
-        local = 0
-        if not model.is_mc:
-            local = _pick(expectations, bound, maximize)
-            decision = _fold_ratios(expectations, local, decision, maximize)
-        x[s], y[s] = expectations[local]
-        scheduler[s] = local
-    return x, y, scheduler, decision
+__all__ = ["topological_solve"]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +133,6 @@ def _solve_component(
     model = system.model
     maximize = config.direction is Direction.MAXIMIZE
     kern = _Kernels(model, system.partition, Objective.REWARD, config.direction)
-    step, ordering = _coupled_stepper(kern, config.gauss_seidel)
     inner = kern.maybe_idx
 
     x_drive = np.zeros(model.num_states)
@@ -253,19 +152,10 @@ def _solve_component(
                 f"{iteration_budget} iterations"
             )
         bound = upper if maximize else lower
-        x_drive, y, chosen, decision = step(x_drive, y, bound, decision)
-        if ordering is None:
-            cx = np.add.reduceat(x_follow[kern.targets] * kern.probs, kern.choice_cuts)
-            x_follow = np.zeros(model.num_states)
-            x_follow[inner] = (cx + system.follow_reward)[chosen[inner]]
-        else:
-            x_follow = x_follow.copy()
-            for s in _sweep_states(system.partition, ordering):
-                c = int(chosen[s])
-                targets, probs = model.entries_of(c)
-                x_follow[s] = float(system.follow_reward[c]) + float(
-                    np.add.reduce(probs * x_follow[targets])
-                )
+        x_drive, y, chosen, decision = kern.coupled_step(x_drive, y, bound, decision)
+        cx = np.add.reduceat(x_follow[kern.targets] * kern.probs, kern.choice_cuts)
+        x_follow = np.zeros(model.num_states)
+        x_follow[inner] = (cx + system.follow_reward)[chosen[inner]]
         x_low, x_high = (x_follow, x_drive) if maximize else (x_drive, x_follow)
         lower, upper = _tighten_bounds(
             x_low, x_high, y, inner, lower, upper, decision, maximize

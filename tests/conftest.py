@@ -345,12 +345,6 @@ def _build_suite() -> SuiteData:
         collector = _Collector(keep_decisions=False, initial=solve_model.initial_state)
         inst.results["svi"] = sr.svi_solve(solve_model, partition, base, collector)
         inst.early_states = collector.early
-        inst.results["gs_svi"] = sr.svi_solve(
-            solve_model, partition, sr.SolverConfig(
-                direction=direction, objective=objective, epsilon=epsilon,
-                gauss_seidel=True, record_trace=True,
-            ),
-        )
         inst.results["topological"] = sr.topological_solve(
             solve_model, partition, sr.SolverConfig(
                 direction=direction, objective=objective, epsilon=epsilon, topological=True,

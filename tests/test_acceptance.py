@@ -19,7 +19,7 @@ from conftest import (
     two_route_mdp_model,
 )
 
-SOUND_METHODS = ("svi", "gs_svi", "topological", "ii")
+SOUND_METHODS = ("svi", "topological", "ii")
 
 
 def _report(number: int, ok: bool, detail: str) -> str:
@@ -191,22 +191,21 @@ def test_sound_methods_match_oracle(random_suite):
             continue
         low_truth = float(maybe_truth.min())
         high_truth = float(maybe_truth.max())
-        for name in ("svi", "gs_svi"):
-            for row in inst.results[name].trace or ():
-                if np.isfinite(row.lower):
-                    sandwich_rows += 1
-                    if row.lower > low_truth + 1e-9:
-                        problems.append(
-                            f"#{inst.index} {name} k={row.k} lower {row.lower!r} "
-                            f"above smallest true value {low_truth!r}"
-                        )
-                if np.isfinite(row.upper):
-                    sandwich_rows += 1
-                    if row.upper < high_truth - 1e-9:
-                        problems.append(
-                            f"#{inst.index} {name} k={row.k} upper {row.upper!r} "
-                            f"below largest true value {high_truth!r}"
-                        )
+        for row in inst.results["svi"].trace or ():
+            if np.isfinite(row.lower):
+                sandwich_rows += 1
+                if row.lower > low_truth + 1e-9:
+                    problems.append(
+                        f"#{inst.index} svi k={row.k} lower {row.lower!r} "
+                        f"above smallest true value {low_truth!r}"
+                    )
+            if np.isfinite(row.upper):
+                sandwich_rows += 1
+                if row.upper < high_truth - 1e-9:
+                    problems.append(
+                        f"#{inst.index} svi k={row.k} upper {row.upper!r} "
+                        f"below largest true value {high_truth!r}"
+                    )
 
     if random_suite.seconds >= 60:
         problems.append(f"suite took {random_suite.seconds:.1f} s")

@@ -157,6 +157,34 @@ def test_check_stats_appends(model_dir, tmp_path, capsys):
     assert float(rows[1][col("result")]) == pytest.approx(0.75, abs=1e-6)
 
 
+# the stats header of earlier versions, with a column that is gone now
+OLD_HEADER = (
+    "model,states,choices,transitions,method,gauss_seidel,topological,"
+    "direction,objective,epsilon,result,lower,upper,iterations,time_ms\n"
+)
+
+
+@pytest.mark.parametrize(
+    "header", ["model,states,something_else\n", OLD_HEADER], ids=["foreign", "old"]
+)
+def test_check_stats_refuses_another_header(model_dir, tmp_path, capsys, header):
+    stats = tmp_path / "stats.csv"
+    stats.write_text(header)
+    assert run(["check", "--tra", model_dir / "chain.tra",
+                "--lab", model_dir / "chain.lab", "--goal", "goal",
+                "--stats", stats]) == 2
+    assert "unexpected header" in capsys.readouterr().err
+    assert stats.read_text() == header
+
+
+def test_check_rejects_removed_flag(model_dir, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["check", "--tra", model_dir / "chain.tra",
+             "--lab", model_dir / "chain.lab", "--goal", "goal", "--gauss-seidel"])
+    assert exit_info.value.code == 2
+    assert "--gauss-seidel" in capsys.readouterr().err
+
+
 def test_check_topological_flag(model_dir, capsys):
     code = run(["check", "--tra", model_dir / "chain.tra",
                 "--lab", model_dir / "chain.lab", "--goal", "goal",
@@ -236,6 +264,16 @@ def test_bench_variant_matrix(model_dir, tmp_path):
     assert len(rows) == 1 + 2 * 3
 
 
+@pytest.mark.parametrize("variant", ["gauss-seidel", "gs"])
+def test_bench_rejects_removed_variants(model_dir, tmp_path, capsys, variant):
+    out = tmp_path / "variants.csv"
+    assert run(["bench", model_dir / "suite.manifest", "--out", out,
+                "--variants", variant]) == 2
+    err = capsys.readouterr().err
+    assert variant in err and "plain" in err and "topological" in err
+    assert not out.exists()
+
+
 def test_bench_reward_manifest_extras(tmp_path):
     model = sr.validate_model(
         [[{0: 0.5, 1: 0.5}], [{1: 1.0}]],
@@ -312,9 +350,12 @@ def test_compare_handles_missing_method(model_dir, tmp_path, capsys):
 
 def test_compare_rejects_foreign_csv(tmp_path, capsys):
     bad = tmp_path / "foreign.csv"
-    bad.write_text("a,b,c\n1,2,3\n")
-    assert run(["compare", bad]) == 2
-    assert "error:" in capsys.readouterr().err
+    for text in ("a,b,c\n1,2,3\n", OLD_HEADER):
+        bad.write_text(text)
+        assert run(["compare", bad]) == 2
+        assert "unexpected header" in capsys.readouterr().err
+        with pytest.raises(sr.MalformedCsv):
+            sr.compare_report(bad)
 
 
 def test_compare_rejects_corrupt_numbers(bench_csv, tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import soundreach as sr
-from conftest import random_model
+from conftest import _prepare, random_model
 from soundreach.solvers import _Kernels, neutral_decision
 
 INF = float("inf")
@@ -228,6 +228,58 @@ def test_decision_value_neutral_on_single_choice(slow_chain):
     assert sr.decision_value(model, x, y, 0, 0) == -INF
 
 
+def test_find_action_and_decision_value_follow_the_loop():
+    # Replays every sweep of certified runs on random MDPs.  The hook sees
+    # each sweep once, paired with the one before, and agrees with the trace.
+    # At each undecided state, the public one-state functions applied to the
+    # previous snapshot must name the choice the loop took, and the state's
+    # decision value must be no looser than the one the loop folded.  A copy
+    # of the rule that sums a row in another order breaks both by a rounding
+    # step now and then.
+    rng = np.random.default_rng(4242)
+    visits = 0
+    for _ in range(60):
+        model, goal = random_model(rng, force_mdp=True)
+        for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
+            model_d, part = _prepare(model, goal, sr.Objective.PROBABILITY, direction)
+            if model_d.is_mc:  # the collapse left one choice per state
+                continue
+            maximize = direction is sr.Direction.MAXIMIZE
+            for lower, upper in ((None, None), (0.0, 1.0)):
+                seen = []
+                config = sr.SolverConfig(
+                    direction=direction, epsilon=1e-8, lower=lower, upper=upper,
+                    max_iterations=1000, record_trace=True,
+                )
+                try:
+                    result = sr.svi_solve(
+                        model_d, part, config, lambda s, p: seen.append((s, p))
+                    )
+                except sr.IterationLimit as exc:
+                    result = exc.partial
+                assert len(result.trace) == len(seen) == result.iterations
+                for (state, previous), row in zip(seen, result.trace):
+                    assert state.k == row.k == previous.k + 1
+                    assert (state.lower, state.upper, state.decision) == (
+                        row.lower, row.upper, row.decision,
+                    )
+                    assert state.y[model_d.initial_state] == row.y_init
+                for state, previous in seen:
+                    bound = previous.upper if maximize else previous.lower
+                    for s in part.maybe_states.tolist():
+                        visits += 1
+                        picked = sr.find_action(
+                            model_d, previous.x, previous.y, s, bound, direction
+                        )
+                        assert picked == state.scheduler[s], (state.k, s)
+                        d = sr.decision_value(
+                            model_d, previous.x, previous.y, s, picked, direction
+                        )
+                        looser = d > state.decision if maximize else d < state.decision
+                        assert not looser, (state.k, s, d, state.decision)
+    assert visits > 1000
+
+
 # ---------------------------------------------------------------------------
 # certified global bounds
 # ---------------------------------------------------------------------------
@@ -393,16 +445,6 @@ def test_vi_is_marked_unsound_and_undershoots(slow_chain):
     # the slow feeder makes plain value iteration stop 2.5% short of 0.75
     assert 0.72 < res.value < 0.73
     assert res.iterations > 10_000
-
-
-def test_vi_gauss_seidel_agrees(slow_chain):
-    model, part = prepared(slow_chain)
-    res = sr.vi_solve(
-        model, part,
-        sr.SolverConfig(method=sr.Method.VI, epsilon=1e-6, gauss_seidel=True),
-    )
-    assert not res.sound
-    assert 0.70 < res.value <= 0.7500000001
 
 
 def test_ii_chain_converges_slowly(slow_chain):

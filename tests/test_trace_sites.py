@@ -35,7 +35,7 @@ def test_traced_solve_records_engine_spans():
     tracer = load_tracing().Tracer()
     tracer.install(sr)
     try:
-        config = sr.SolverConfig(topological=True, gauss_seidel=True)
+        config = sr.SolverConfig(topological=True)
         sr.solve(two_route_mdp_model(), "goal", config)
     finally:
         tracer.uninstall()
