@@ -7,6 +7,12 @@ the topological solver, and the end-component
 machinery (``mec_decompose``, ``collapse_end_components``,
 ``check_contracting``) establishes the unique-fixpoint precondition that the
 certified solvers require.
+
+The searches run over CSR arrays.  ``prob0_max`` and the attractor step of
+``mec_decompose`` are breadth-first searches over a predecessor CSR, each
+round gathering the entries into a whole frontier at once, so together
+their rounds touch every entry once.  ``_tarjan`` walks a state-level
+successor CSR as Python lists; ``scc_order`` and ``mec_decompose`` share it.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from .errors import MecContainsGoal
 # validate_model stays imported: perfbench/tracing.py wraps it here.
-from .model import Direction, Partition, SparseModel, _map_mask, submodel, validate_model
+from .model import Direction, Partition, SparseModel, _map_mask, _ranges, submodel, validate_model
 
 __all__ = [
     "SccOrder",
@@ -40,30 +46,46 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _predecessors(model: SparseModel):
+    """A function mapping states to the indices of the entries into them.
+
+    The predecessor CSR is built once: entry indices grouped by target.
+    """
+    entries = np.argsort(model.entry_target, kind="stable")
+    ptr = np.zeros(model.num_states + 1, dtype=np.int64)
+    np.cumsum(np.bincount(model.entry_target, minlength=model.num_states), out=ptr[1:])
+    return lambda states: entries[_ranges(ptr[states], ptr[states + 1] - ptr[states])]
+
+
+def _distinct(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """``values`` with repeats dropped, using ``slots`` (indexed by value) as
+    working space: of the positions written to one slot, exactly one survives.
+
+    Unlike ``np.unique`` it needs no sort, and it does not import
+    ``numpy.ma`` (0.6 MB of memory), which ``np.unique`` does on first use.
+    """
+    positions = np.arange(len(values))
+    slots[values] = positions
+    return values[slots[values] == positions]
+
+
 def prob0_max(model: SparseModel, goal: np.ndarray) -> np.ndarray:
     """States from which no resolution of choices can ever reach ``goal``.
 
     Computed as the complement of backward graph reachability from the goal
-    along arbitrary transitions.
+    along arbitrary transitions: a breadth-first search whose rounds gather
+    the predecessors of the whole frontier at once.
     """
     goal = np.asarray(goal, dtype=bool)
     entry_source = np.repeat(model.choice_state(), np.diff(model.choice_start))
+    entries_into = _predecessors(model)
     can_reach = goal.copy()
     frontier = np.flatnonzero(goal)
-    # Predecessor lists, built once.
-    order = np.argsort(model.entry_target, kind="stable")
-    sorted_targets = model.entry_target[order]
-    sorted_sources = entry_source[order]
-    starts = np.searchsorted(sorted_targets, np.arange(model.num_states))
-    ends = np.searchsorted(sorted_targets, np.arange(model.num_states), side="right")
+    slots = np.empty(model.num_states, dtype=np.int64)
     while len(frontier):
-        next_frontier = []
-        for t in frontier:
-            for s in sorted_sources[starts[t] : ends[t]]:
-                if not can_reach[s]:
-                    can_reach[s] = True
-                    next_frontier.append(s)
-        frontier = np.asarray(next_frontier, dtype=np.int64)
+        sources = entry_source[entries_into(frontier)]
+        frontier = _distinct(sources[~can_reach[sources]], slots)
+        can_reach[frontier] = True
     return ~can_reach
 
 
@@ -100,62 +122,67 @@ class SccOrder:
     component_of: np.ndarray
 
 
-def _tarjan(num_states: int, successors, alive: np.ndarray):
-    """Iterative Tarjan over the nodes where ``alive`` holds.
+def _tarjan(num_states: int, sources: np.ndarray, targets: np.ndarray, roots) -> np.ndarray:
+    """Iterative Tarjan over the edges ``sources[i] -> targets[i]``.
 
-    ``successors(s)`` yields the (alive) successor states of ``s``.
-    Components are emitted in completion order, which is reverse topological
-    order.  The recursion is unrolled onto an explicit stack so deep chains
-    do not hit the interpreter recursion limit.
+    The edges must be sorted by source.  They become a state-level CSR
+    (``ptr`` from a ``bincount``, ``adj`` the targets), walked as Python
+    lists in one pass: a path stack plus a read position per node replaces
+    recursion, so deep chains do not hit the interpreter recursion limit.
+    The search starts from each of ``roots`` in turn and visits only what
+    they reach.  Returns ``component_of``: each visited node's component,
+    numbered in completion order (reverse topological order), -1 elsewhere.
     """
-    index = np.full(num_states, -1, dtype=np.int64)
-    low = np.zeros(num_states, dtype=np.int64)
-    component_of = np.full(num_states, -1, dtype=np.int64)
-    on_stack = np.zeros(num_states, dtype=bool)
-    scc_stack: list[int] = []
-    components: list[np.ndarray] = []
-    counter = 0
-
-    for root in np.flatnonzero(alive):
-        if index[root] != -1:
+    ptr = [0, *np.cumsum(np.bincount(sources, minlength=num_states)).tolist()]
+    adj = targets.tolist()
+    pos = ptr[:-1]
+    index = [-1] * num_states
+    low = [0] * num_states
+    component_of = [-1] * num_states
+    stack: list[int] = []
+    visited = count = 0
+    for root in roots:
+        if index[root] >= 0:
             continue
-        work: list[list] = [[int(root), None]]
-        while work:
-            frame = work[-1]
-            v = frame[0]
-            if frame[1] is None:
-                index[v] = low[v] = counter
-                counter += 1
-                scc_stack.append(v)
-                on_stack[v] = True
-                frame[1] = iter(successors(v))
-            descended = False
-            for w in frame[1]:
-                w = int(w)
-                if index[w] == -1:
-                    work.append([w, None])
-                    descended = True
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        path = [root]
+        while path:
+            v = path[-1]
+            i, end = pos[v], ptr[v + 1]
+            while i < end:
+                w = adj[i]
+                i += 1
+                if index[w] < 0:
+                    pos[v] = i
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    path.append(w)
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                members = []
-                while True:
-                    w = scc_stack.pop()
-                    on_stack[w] = False
-                    component_of[w] = len(components)
-                    members.append(w)
-                    if w == v:
-                        break
-                members.sort()
-                components.append(np.asarray(members, dtype=np.int64))
-    return components, component_of
+                if component_of[w] < 0 and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        component_of[w] = count
+                        if w == v:
+                            break
+                    count += 1
+    return np.asarray(component_of, dtype=np.int64)
+
+
+def _groups(labels: np.ndarray) -> list:
+    """The indices carrying each label ``0, 1, ...``, ascending; -1 is no group."""
+    members = np.flatnonzero(labels >= 0)
+    members = members[np.argsort(labels[members], kind="stable")]
+    ends = np.cumsum(np.bincount(labels[members])).tolist()
+    return [members[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 def scc_order(model: SparseModel) -> SccOrder:
@@ -165,16 +192,10 @@ def scc_order(model: SparseModel) -> SccOrder:
     ``component_of[s'] <= component_of[s]``: a component never precedes one
     of its successors in the returned list.
     """
-    cs = model.choice_start
-    gs = model.row_group_start
-    targets = model.entry_target
-
-    def successors(s: int):
-        return targets[cs[gs[s]] : cs[gs[s + 1]]]
-
-    alive = np.ones(model.num_states, dtype=bool)
-    components, component_of = _tarjan(model.num_states, successors, alive)
-    return SccOrder(components=components, component_of=component_of)
+    n = model.num_states
+    sources = np.repeat(np.arange(n), np.diff(model.choice_start[model.row_group_start]))
+    component_of = _tarjan(n, sources, model.entry_target, range(n))
+    return SccOrder(components=_groups(component_of), component_of=component_of)
 
 
 # ---------------------------------------------------------------------------
@@ -201,68 +222,60 @@ def mec_decompose(model: SparseModel, restrict: np.ndarray | None = None) -> Mec
 
     A set of states with one retained choice each forms an end component if
     the retained choices never leave the set and the set is strongly
-    connected through them.  Choices leaving ``restrict`` are dropped up
-    front.  The decomposition iterates SCC refinement: drop choices that
-    cross component borders, drop states left without choices, repeat until
-    stable.
+    connected through them.  This is the classic algorithm (de Alfaro 1997;
+    Baier & Katoen, Alg. 47).  Start from ``restrict`` as one component.
+    Drop every choice that can leave its component, then the attractor of
+    what fell: round by round, the states left without a choice (component
+    -1) and the choices that can enter them.  Split the components with a
+    Tarjan pass over the retained choices, and repeat until a pass leaves
+    nothing to drop.  Each attractor round touches only the entries into
+    the states that just fell, so a pass costs linear time.  MECs come in
+    the completion order of the last pass, each with its states and
+    retained choices ascending.
     """
     n = model.num_states
-    cs = model.choice_start
-    gs = model.row_group_start
-    targets = model.entry_target
     choice_state = model.choice_state()
+    entry_count = np.diff(model.choice_start)
+    entry_choice = np.repeat(np.arange(model.num_choices), entry_count)
+    entry_source = choice_state[entry_choice]
+    entries_into = _predecessors(model)
+    alive = np.ones(n, dtype=bool) if restrict is None else np.asarray(restrict, dtype=bool)
+    component_of = np.where(alive, 0, -1)
+    choice_alive = alive[choice_state]
+    choices_left = np.bincount(choice_state[choice_alive], minlength=n)
+    state_slots = np.empty(n, dtype=np.int64)
+    choice_slots = np.empty(model.num_choices, dtype=np.int64)
 
-    if restrict is None:
-        candidate = np.ones(n, dtype=bool)
-    else:
-        candidate = np.asarray(restrict, dtype=bool).copy()
+    def attract() -> bool:
+        """Drop what can leave its component and its attractor; True iff any fell."""
+        inside = component_of[model.entry_target] == component_of[entry_source]
+        stays = np.logical_and.reduceat(inside, model.choice_start[:-1])
+        fall = np.flatnonzero(choice_alive & ~stays)
+        dropped = len(fall) > 0
+        while len(fall):
+            choice_alive[fall] = False
+            owners = choice_state[fall]
+            np.subtract.at(choices_left, owners, 1)
+            dead = _distinct(owners[choices_left[owners] == 0], state_slots)
+            component_of[dead] = -1
+            into = entry_choice[entries_into(dead)]
+            fall = _distinct(into[choice_alive[into]], choice_slots)
+        return dropped
 
-    inside = candidate[targets]
-    choice_alive = np.bitwise_and.reduceat(inside, cs[:-1]) & candidate[choice_state]
-    state_alive = candidate & np.bitwise_or.reduceat(choice_alive, gs[:-1])
-    choice_alive &= state_alive[choice_state]
-
-    while True:
-        def successors(s: int):
-            out = []
-            for c in range(int(gs[s]), int(gs[s + 1])):
-                if choice_alive[c]:
-                    out.extend(targets[cs[c] : cs[c + 1]].tolist())
-            return out
-
-        components, component_of = _tarjan(n, successors, state_alive)
-
-        changed = False
-        for c in np.flatnonzero(choice_alive):
-            s = choice_state[c]
-            tgt = targets[cs[c] : cs[c + 1]]
-            if np.any(component_of[tgt] != component_of[s]):
-                choice_alive[c] = False
-                changed = True
-        still = state_alive & np.bitwise_or.reduceat(choice_alive, gs[:-1])
-        if np.any(still != state_alive):
-            changed = True
-            state_alive = still
-            choice_alive &= state_alive[choice_state]
-        if not changed:
+    attract()
+    while np.any(component_of >= 0):
+        kept = np.repeat(choice_alive, entry_count)
+        roots = np.flatnonzero(component_of >= 0).tolist()
+        component_of = _tarjan(n, entry_source[kept], model.entry_target[kept], roots)
+        if not attract():
             break
 
-    mecs: list[Mec] = []
-    mec_of = np.full(n, -1, dtype=np.int64)
-    seen: dict[int, list[int]] = {}
-    for s in np.flatnonzero(state_alive):
-        seen.setdefault(int(component_of[s]), []).append(int(s))
-    for comp_id in sorted(seen):
-        members = np.asarray(seen[comp_id], dtype=np.int64)
-        retained = [
-            c
-            for s in members
-            for c in range(int(gs[s]), int(gs[s + 1]))
-            if choice_alive[c]
-        ]
-        mec_of[members] = len(mecs)
-        mecs.append(Mec(states=members, choices=np.asarray(retained, dtype=np.int64)))
-    return MecDecomposition(mecs=mecs, mec_of=mec_of)
+    choice_mec = np.where(choice_alive, component_of[choice_state], -1)
+    mecs = [
+        Mec(states=states, choices=choices)
+        for states, choices in zip(_groups(component_of), _groups(choice_mec))
+    ]
+    return MecDecomposition(mecs=mecs, mec_of=component_of)
 
 
 def check_contracting(model: SparseModel, target: np.ndarray) -> bool:

@@ -5,12 +5,30 @@ import pytest
 
 import soundreach as sr
 from conftest import random_model
+from soundreach import analysis
 
 
 def goal_mask(model, *states):
     mask = np.zeros(model.num_states, dtype=bool)
     mask[list(states)] = True
     return mask
+
+
+def graph_model(rng, max_states=40):
+    """A random MDP shaped for graph tests: 1-3 choices of 1-3 targets each,
+    with self-loops and near targets common enough to form end components."""
+    n = int(rng.integers(2, max_states + 1))
+    choices = []
+    for s in range(n):
+        group = []
+        for _ in range(int(rng.integers(1, 4))):
+            k = int(rng.integers(1, 4))
+            near = np.clip(s + rng.integers(-2, 3, size=k), 0, n - 1)
+            targets = np.where(rng.random(k) < 0.7, near, rng.integers(0, n, size=k))
+            targets = sorted(set(targets.tolist()))
+            group.append({t: 1.0 / len(targets) for t in targets})
+        choices.append(group)
+    return sr.validate_model(choices)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +89,26 @@ def test_prob0_random_models_agree_with_oracle():
             np.testing.assert_array_equal(fn(absorbed, goal), values == 0.0)
 
 
+def test_prob0_max_matches_plain_search():
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        model = graph_model(rng)
+        goal = rng.random(model.num_states) < 0.1
+        predecessors = {t: set() for t in range(model.num_states)}
+        for c, s in enumerate(model.choice_state().tolist()):
+            for t in model.entries_of(c)[0].tolist():
+                predecessors[t].add(s)
+        can_reach = set(np.flatnonzero(goal).tolist())
+        frontier = list(can_reach)
+        while frontier:
+            for s in predecessors[frontier.pop()] - can_reach:
+                can_reach.add(s)
+                frontier.append(s)
+        expected = np.ones(model.num_states, dtype=bool)
+        expected[list(can_reach)] = False
+        np.testing.assert_array_equal(sr.prob0_max(model, goal), expected)
+
+
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
@@ -97,6 +135,87 @@ def test_reward_partition_has_no_sure_zero_block(slow_chain):
 # ---------------------------------------------------------------------------
 # strongly connected components
 # ---------------------------------------------------------------------------
+
+
+def reference_tarjan(num_states, successors, alive):
+    """The closure-based Tarjan the package used before its CSR walk."""
+    index = np.full(num_states, -1, dtype=np.int64)
+    low = np.zeros(num_states, dtype=np.int64)
+    component_of = np.full(num_states, -1, dtype=np.int64)
+    on_stack = np.zeros(num_states, dtype=bool)
+    scc_stack = []
+    components = []
+    counter = 0
+    for root in np.flatnonzero(alive):
+        if index[root] != -1:
+            continue
+        work = [[int(root), None]]
+        while work:
+            frame = work[-1]
+            v = frame[0]
+            if frame[1] is None:
+                index[v] = low[v] = counter
+                counter += 1
+                scc_stack.append(v)
+                on_stack[v] = True
+                frame[1] = iter(successors(v))
+            descended = False
+            for w in frame[1]:
+                w = int(w)
+                if index[w] == -1:
+                    work.append([w, None])
+                    descended = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if descended:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                members = []
+                while True:
+                    w = scc_stack.pop()
+                    on_stack[w] = False
+                    component_of[w] = len(components)
+                    members.append(w)
+                    if w == v:
+                        break
+                members.sort()
+                components.append(np.asarray(members, dtype=np.int64))
+    return components, component_of
+
+
+def test_scc_order_matches_reference_tarjan():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        model = graph_model(rng) if rng.random() < 0.5 else random_model(rng)[0]
+        cs, gs, targets = model.choice_start, model.row_group_start, model.entry_target
+        components, component_of = reference_tarjan(
+            model.num_states,
+            lambda s: targets[cs[gs[s]] : cs[gs[s + 1]]],
+            np.ones(model.num_states, dtype=bool),
+        )
+        order = sr.scc_order(model)
+        np.testing.assert_array_equal(order.component_of, component_of)
+        assert len(order.components) == len(components)
+        for got, want in zip(order.components, components):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_scc_order_long_chain_and_ring():
+    # 100,000 states deep: no recursion, successors first, one ring component
+    n = 100_000
+    chain = sr.validate_model([[{min(s + 1, n - 1): 1.0}] for s in range(n)])
+    order = sr.scc_order(chain)
+    np.testing.assert_array_equal(order.component_of, np.arange(n)[::-1])
+    assert len(order.components) == n
+    ring = sr.validate_model([[{(s + 1) % n: 1.0}] for s in range(n)])
+    order = sr.scc_order(ring)
+    assert len(order.components) == 1
+    np.testing.assert_array_equal(order.components[0], np.arange(n))
 
 
 def test_scc_order_slow_chain(slow_chain):
@@ -182,6 +301,95 @@ def test_mec_decompose_restricted():
     dec = sr.mec_decompose(m, restrict)
     found = {tuple(mec.states.tolist()) for mec in dec.mecs}
     assert found == {(2,)}  # the loop is cut once state 1 is out of bounds
+
+
+def reference_mec_decompose(model, restrict=None):
+    """The decomposition the package used before its attractor fixpoint:
+    one Tarjan pass per peeled layer of border-crossing choices."""
+    n = model.num_states
+    cs = model.choice_start
+    gs = model.row_group_start
+    targets = model.entry_target
+    choice_state = model.choice_state()
+    candidate = np.ones(n, dtype=bool) if restrict is None else np.asarray(restrict).copy()
+    inside = candidate[targets]
+    choice_alive = np.bitwise_and.reduceat(inside, cs[:-1]) & candidate[choice_state]
+    state_alive = candidate & np.bitwise_or.reduceat(choice_alive, gs[:-1])
+    choice_alive &= state_alive[choice_state]
+    while True:
+        def successors(s):
+            out = []
+            for c in range(int(gs[s]), int(gs[s + 1])):
+                if choice_alive[c]:
+                    out.extend(targets[cs[c] : cs[c + 1]].tolist())
+            return out
+
+        _, component_of = reference_tarjan(n, successors, state_alive)
+        changed = False
+        for c in np.flatnonzero(choice_alive):
+            if np.any(component_of[targets[cs[c] : cs[c + 1]]] != component_of[choice_state[c]]):
+                choice_alive[c] = False
+                changed = True
+        still = state_alive & np.bitwise_or.reduceat(choice_alive, gs[:-1])
+        if np.any(still != state_alive):
+            changed = True
+            state_alive = still
+            choice_alive &= state_alive[choice_state]
+        if not changed:
+            break
+    mecs = []
+    mec_of = np.full(n, -1, dtype=np.int64)
+    seen = {}
+    for s in np.flatnonzero(state_alive):
+        seen.setdefault(int(component_of[s]), []).append(int(s))
+    for comp_id in sorted(seen):
+        members = np.asarray(seen[comp_id], dtype=np.int64)
+        retained = [
+            c for s in members for c in range(int(gs[s]), int(gs[s + 1])) if choice_alive[c]
+        ]
+        mec_of[members] = len(mecs)
+        mecs.append((members, np.asarray(retained, dtype=np.int64)))
+    return mecs, mec_of
+
+
+def test_mec_decompose_matches_peeling_reference():
+    rng = np.random.default_rng(14)
+    found = 0
+    for i in range(300):
+        model = graph_model(rng) if i % 3 else random_model(rng)[0]
+        restrict = None if i % 2 else rng.random(model.num_states) < 0.8
+        want, want_of = reference_mec_decompose(model, restrict)
+        got = sr.mec_decompose(model, restrict)
+        np.testing.assert_array_equal(got.mec_of, want_of)
+        assert len(got.mecs) == len(want)
+        for mec, (states, choices) in zip(got.mecs, want):
+            np.testing.assert_array_equal(mec.states, states)
+            np.testing.assert_array_equal(mec.choices, choices)
+        found += len(want)
+    assert found > 300  # the suite must exercise many components
+
+
+def test_mec_decompose_needs_few_tarjan_passes(monkeypatch):
+    # 1,000 states, 2 choices each, every choice to s+1 plus 2 random
+    # targets, and state n-1 absorbing: no end component but that one.
+    # Peeling one layer of states per Tarjan pass took 37 passes here.
+    rng = np.random.default_rng(0)
+    n = 1000
+    choices = []
+    for s in range(n - 1):
+        group = []
+        for _ in range(2):
+            targets = sorted({s + 1, *rng.integers(0, n, size=2).tolist()})
+            group.append({t: 1.0 / len(targets) for t in targets})
+        choices.append(group)
+    model = sr.validate_model([*choices, [{n - 1: 1.0}]])
+    passes = []
+    tarjan = analysis._tarjan
+    monkeypatch.setattr(analysis, "_tarjan", lambda *args: passes.append(1) or tarjan(*args))
+    decomposition = sr.mec_decompose(model)
+    assert [mec.states.tolist() for mec in decomposition.mecs] == [[n - 1]]
+    np.testing.assert_array_equal(np.flatnonzero(decomposition.mec_of >= 0), [n - 1])
+    assert len(passes) <= 2
 
 
 def test_check_contracting(slow_chain):
