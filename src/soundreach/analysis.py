@@ -332,13 +332,14 @@ def collapse_end_components(model: SparseModel, partition: Partition) -> Quotien
         identity = np.arange(model.num_states, dtype=np.int64)
         return QuotientMap(model=model, state_map=identity, partition=partition)
 
-    # Quotient states are numbered by their first member.
+    # Quotient states are numbered by their first member: a running count of
+    # the states that are their own first member.
     mec_of = np.full(model.num_states, -1, dtype=np.int64)
     first = np.arange(model.num_states)
     for index, mec in enumerate(collapsible):
         mec_of[mec.states] = index
         first[mec.states] = mec.states.min()
-    _, state_map = np.unique(first, return_inverse=True)
+    state_map = np.cumsum(first == np.arange(model.num_states))[first] - 1
     num_quotient = int(state_map.max()) + 1
 
     # Drop the member choices whose successors all stay in their MEC.

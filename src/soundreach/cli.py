@@ -142,8 +142,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--topological", action="store_true", help="solve SCC by SCC (svi only)"
     )
     check.add_argument("--epsilon", type=float, default=1e-6, help="precision (default: 1e-6)")
-    check.add_argument("--lower", type=float, help="initial lower bound")
-    check.add_argument("--upper", type=float, help="initial upper bound")
+    clipped = "; svi probability queries start at [0, 1] and clip a given bound into it"
+    check.add_argument("--lower", type=float, help="initial lower bound" + clipped)
+    check.add_argument("--upper", type=float, help="initial upper bound" + clipped)
     check.add_argument("--stats", metavar="CSVPATH", help="append one CSV record here")
     check.add_argument(
         "--trace", action="store_true", help="print per-iteration bound lines"

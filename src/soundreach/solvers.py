@@ -96,7 +96,10 @@ class SolverConfig:
 
     ``lower``/``upper`` are optional scalar initial bounds valid for every
     undecided state; ``lower_vector``/``upper_vector`` are their per-state
-    counterparts (used by interval iteration on rewards).  ``epsilon`` is the
+    counterparts (used by interval iteration on rewards).  ``solve`` starts
+    svi probability queries at ``[0, 1]`` intersected with these bounds;
+    ``svi_solve`` itself starts a missing bound at infinity, and interval
+    iteration starts probabilities at 0 and 1.  ``epsilon`` is the
     absolute precision: certified methods stop once the certified interval
     at the initial state is narrower than ``2 * epsilon`` and report its
     midpoint, so the result is within ``epsilon`` of the true value.
@@ -568,16 +571,25 @@ def _interval_result(
         lo, hi = x0 + y0 * lower, x0 + y0 * upper
     else:
         value, lo, hi = x0, -math.inf, math.inf
-    return SolveResult(
-        value=value,
-        lower=lo,
-        upper=hi,
-        iterations=iterations,
-        time_ms=elapsed_ms,
-        method=config.method,
-        sound=sound,
-        trace=trace,
-    )
+    return _result(value, lo, hi, iterations, elapsed_ms, config, trace, sound)
+
+
+def _result(
+    value: float,
+    lo: float,
+    hi: float,
+    iterations: int,
+    elapsed_ms: float,
+    config: SolverConfig,
+    trace,
+    sound: bool,
+) -> SolveResult:
+    """A certified engine's result; probability results are clipped into
+    ``[0, 1]``, which holds every probability, so a rounding step past 1
+    cannot leave ``lower`` above ``upper`` there."""
+    if config.objective is Objective.PROBABILITY:
+        value, lo, hi = (min(max(v, 0.0), 1.0) for v in (value, lo, hi))
+    return SolveResult(value, lo, hi, iterations, elapsed_ms, config.method, sound, trace)
 
 
 def svi_solve(
@@ -591,6 +603,8 @@ def svi_solve(
     Stops once ``y[init] * (upper - lower) < 2 * epsilon`` — or exactly when
     ``y[init]`` hits zero, in which case ``x[init]`` is the exact answer —
     and returns the midpoint of the certified interval at the initial state.
+    A bound the configuration leaves out starts at infinity, as in the
+    paper; a probability result is clipped into ``[0, 1]``.
     """
     config = replace(config, method=Method.SVI).validated()
     if config.topological:
@@ -943,9 +957,18 @@ def solve(
     probability queries — end components are collapsed so the certified
     methods face a unique fixpoint.  Reward queries insist that the goal is
     reached almost surely under every resolution of choices and reject
-    models with end components outside the goal.  The reported time covers
-    this preprocessing plus the iteration itself.
+    models with end components outside the goal.  svi probability queries
+    start at ``[0, 1]``: a missing bound becomes 0 or 1, a given one is
+    clipped into ``[0, 1]``, and a lower bound above 1 or an upper bound
+    below 0 raises ``ConfigError``.  The reported time covers this
+    preprocessing plus the iteration itself.
     """
+    if config.method is Method.SVI and config.objective is Objective.PROBABILITY:
+        config = replace(
+            config,
+            lower=0.0 if config.lower is None else max(config.lower, 0.0),
+            upper=1.0 if config.upper is None else min(config.upper, 1.0),
+        )
     config = config.validated()
     started = time.perf_counter()
     goal_mask = model.label_mask(goal) if isinstance(goal, str) else np.asarray(goal, dtype=bool)

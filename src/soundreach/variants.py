@@ -31,6 +31,7 @@ from .solvers import (
     SolverConfig,
     TraceRow,
     _Kernels,
+    _result,
     _shortcut,
     _tighten_bounds,
     neutral_decision,
@@ -239,13 +240,4 @@ def topological_solve(
     if config.upper is not None:
         hi = min(hi, config.upper)
     elapsed = (time.perf_counter() - started) * 1000.0
-    return SolveResult(
-        value=(lo + hi) / 2.0,
-        lower=lo,
-        upper=hi,
-        iterations=total_iterations,
-        time_ms=elapsed,
-        method=Method.SVI,
-        sound=True,
-        trace=trace,
-    )
+    return _result((lo + hi) / 2.0, lo, hi, total_iterations, elapsed, config, trace, True)

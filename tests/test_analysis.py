@@ -1,5 +1,10 @@
 """Graph preprocessing: sure-zero states, SCCs, end components, collapsing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -459,6 +464,32 @@ def test_collapse_sums_merged_targets_in_the_quotient():
     targets, probs = quotient.model.entries_of(choice)
     assert targets.tolist() == [0, 2]
     assert probs.tolist() == [0.6, 0.4]
+
+
+def test_collapse_numbers_late_component_without_numpy_ma():
+    # np.unique without return_inverse imports numpy.ma (0.6 MB of memory)
+    # on first use; the maximal-probability path must not, so this runs in
+    # a fresh interpreter.  1 <-> 3 is an end component; 1 may exit to the
+    # goal 2, 3 to the sink 4.
+    code = """
+import sys
+import soundreach as sr
+model = sr.validate_model(
+    [[{1: 1.0}], [{3: 1.0}, {2: 1.0}], [{2: 1.0}], [{1: 1.0}, {4: 1.0}], [{4: 1.0}]],
+    labels={"init": [0], "goal": [2]},
+)
+result = sr.solve(model, "goal", sr.SolverConfig())
+partition = sr.reach_partition(model, model.label_mask("goal"), sr.Direction.MAXIMIZE)
+state_map = sr.collapse_end_components(model, partition).state_map
+print(result.value, "numpy.ma" in sys.modules, state_map.tolist())
+"""
+    package_root = str(Path(sr.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "1.0 False [0, 1, 2, 1, 3]"
 
 
 def test_collapse_component_without_exit_is_an_empty_row_group():

@@ -89,6 +89,17 @@ def test_check_trace_lines(model_dir, capsys):
         assert int(m["k"]) == i + 1
 
 
+def test_check_trace_starts_probability_inside_zero_one(model_dir, capsys):
+    # without --lower/--upper, svi starts a probability query at [0, 1]
+    code = run(["check", "--tra", model_dir / "branch.tra",
+                "--lab", model_dir / "branch.lab", "--goal", "goal", "--trace"])
+    assert code == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    m = re.match(r"^iter=1 lower=(?P<lo>\S+) upper=(?P<hi>\S+) ", first)
+    assert m, first
+    assert 0.0 <= float(m["lo"]) <= float(m["hi"]) <= 1.0
+
+
 def test_check_min_direction(tmp_path, capsys):
     tra, lab = tmp_path / "m.tra", tmp_path / "m.lab"
     sr.write_model(two_route_mdp_model(), tra, lab)

@@ -680,6 +680,122 @@ def test_solve_time_covers_preprocessing(slow_chain):
 
 
 # ---------------------------------------------------------------------------
+# start bounds of probability queries
+# ---------------------------------------------------------------------------
+
+
+def random_value_mdp(n, rng, sink_share=0.0):
+    """Two choices per state, each to ``s+1`` plus two uniform random targets
+    with random weights; goal ``n-1``, start 0.  With ``sink_share`` each
+    random target becomes, with that chance, an absorbing losing state ``n``."""
+    choices = []
+    for s in range(n):
+        group = []
+        for _ in range(2):
+            randoms = rng.integers(0, n, size=2)
+            if sink_share > 0:
+                randoms = np.where(rng.random(2) < sink_share, n, randoms)
+            row = {}
+            for t, w in zip([min(s + 1, n - 1), *randoms.tolist()], rng.random(3)):
+                row[t] = row.get(t, 0.0) + w
+            total = sum(row[t] for t in sorted(row))
+            group.append({t: row[t] / total for t in sorted(row)})
+        choices.append(group)
+    if sink_share > 0:
+        choices.append([{n: 1.0}])
+    return sr.validate_model(choices, labels={"init": [0], "goal": [n - 1]})
+
+
+def max_reach_by_policy_iteration(model, goal):
+    """Maximal reachability probabilities of a model on which every choice
+    resolution reaches the goal or a sure-zero state almost surely."""
+    absorbed = sr.make_absorbing(model, goal)
+    maybe = sr.reach_partition(absorbed, goal, sr.Direction.MAXIMIZE).maybe
+    n = absorbed.num_states
+    values = goal.astype(float)
+    picks = absorbed.row_group_start[:-1].copy()
+    while True:
+        matrix = np.zeros((n, n))
+        for s in np.flatnonzero(maybe):
+            targets, probs = absorbed.entries_of(int(picks[s]))
+            np.add.at(matrix[s], targets, probs)
+        system = np.eye(maybe.sum()) - matrix[np.ix_(maybe, maybe)]
+        values[maybe] = np.linalg.solve(system, matrix[np.ix_(maybe, goal)].sum(axis=1))
+        improved = False
+        for s in np.flatnonzero(maybe):
+            for c in absorbed.choices_of(s):
+                targets, probs = absorbed.entries_of(c)
+                current = absorbed.entries_of(int(picks[s]))
+                if probs @ values[targets] > current[1] @ values[current[0]] + 1e-12:
+                    picks[s], improved = c, True
+        if not improved:
+            return values
+
+
+@pytest.mark.parametrize(
+    "n,seed,sink_share,cap", [(300, 0, 0.0, 1_000), (200, 7, 0.05, 3_000)], ids=["F1", "F2"]
+)
+def test_solve_certifies_the_fault_models(n, seed, sink_share, cap):
+    # F1: every value is exactly 1.  F2: a sink takes part of the mass.
+    # Started at [-inf, inf], the first sweeps would select choices at an
+    # infinite bound, and the decision value would hold upper above 1.
+    model = random_value_mdp(n, np.random.default_rng(seed), sink_share)
+    goal = model.label_mask("goal")
+    epsilon = 1e-6
+    res = sr.solve(model, goal, sr.SolverConfig(epsilon=epsilon, max_iterations=cap))
+    truth = max_reach_by_policy_iteration(model, goal)[model.initial_state]
+    assert res.sound
+    # the linear solves of the reference round too (F1: 1 + 2.4e-15)
+    assert res.lower - 1e-12 <= truth <= res.upper + 1e-12, (res.lower, truth, res.upper)
+    assert res.upper - res.lower < 2 * epsilon
+
+
+def test_svi_solve_itself_keeps_the_unbounded_start():
+    model = random_value_mdp(300, np.random.default_rng(0))
+    goal = model.label_mask("goal")
+    model_p, part = _prepare(model, goal, sr.Objective.PROBABILITY, sr.Direction.MAXIMIZE)
+    config = sr.SolverConfig(max_iterations=3, record_trace=True)
+    with pytest.raises(sr.IterationLimit) as info:
+        sr.svi_solve(model_p, part, config)
+    first = info.value.partial.trace[0]
+    assert (first.lower, first.upper) == (-INF, INF)
+
+
+def test_solve_starts_probability_queries_inside_zero_one(branching_mdp):
+    starts = []
+
+    def hook(state, previous):
+        if previous.k == 0:
+            starts.append((previous.lower, previous.upper))
+
+    for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
+        for lower, upper in ((None, None), (-0.5, 2.0)):
+            config = sr.SolverConfig(direction=direction, lower=lower, upper=upper)
+            sr.solve(branching_mdp, "goal", config, hook)
+    assert starts == [(0.0, 1.0)] * 4
+    sr.solve(branching_mdp, "goal", sr.SolverConfig(lower=0.25, upper=1.5), hook)
+    assert starts[-1] == (0.25, 1.0)
+    for bounds in ({"lower": 1.5}, {"upper": -0.5}):
+        with pytest.raises(sr.ConfigError):
+            sr.solve(branching_mdp, "goal", sr.SolverConfig(**bounds))
+
+
+def test_probability_results_never_cross_or_leave_zero_one():
+    # Rounding can carry lower past upper at 1: F1 from [0, 1] computes
+    # [1.0000000000000007, 1.0000000000000002] before the clip.
+    rng = np.random.default_rng(4242)
+    for _ in range(320):
+        model, goal = random_model(rng)
+        for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
+            for topological in (False, True):
+                config = sr.SolverConfig(
+                    direction=direction, topological=topological, epsilon=1e-8
+                )
+                res = sr.solve(model, goal, config)
+                assert 0.0 <= res.lower <= res.value <= res.upper <= 1.0, res
+
+
+# ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------
 
