@@ -2,17 +2,18 @@
 
 Everything here works on the directed graph underlying a model.  The
 functions feed the numeric solvers: ``prob0_max``/``prob0_min`` identify
-states whose reachability value is exactly zero, ``scc_order`` drives
-the topological solver, and the end-component
-machinery (``mec_decompose``, ``collapse_end_components``,
-``check_contracting``) establishes the unique-fixpoint precondition that the
-certified solvers require.
+states whose reachability value is exactly zero, ``check_contracting``
+asks whether ``prob0_min`` is empty, ``scc_order`` drives the topological
+solver, and the end-component machinery (``mec_decompose``,
+``collapse_end_components``) establishes the unique-fixpoint precondition
+that the certified solvers require.
 
-The searches run over CSR arrays.  ``prob0_max`` and the attractor step of
-``mec_decompose`` are breadth-first searches over a predecessor CSR, each
-round gathering the entries into a whole frontier at once, so together
-their rounds touch every entry once.  ``_tarjan`` walks a state-level
-successor CSR as Python lists; ``scc_order`` and ``mec_decompose`` share it.
+The searches run over CSR arrays.  ``prob0_max`` and ``_Attractor``, the
+one greatest-fixpoint search, are breadth-first searches over a predecessor
+CSR, each round gathering the entries into a whole frontier at once.
+``prob0_min`` is one run of ``_Attractor``; ``mec_decompose`` alternates it
+with passes of ``_tarjan``, which walks a state-level successor CSR as
+Python lists and also serves ``scc_order``.
 """
 
 from __future__ import annotations
@@ -89,24 +90,64 @@ def prob0_max(model: SparseModel, goal: np.ndarray) -> np.ndarray:
     return ~can_reach
 
 
-def prob0_min(model: SparseModel, goal: np.ndarray) -> np.ndarray:
-    """States where some resolution of choices avoids ``goal`` forever.
+class _Attractor:
+    """The one greatest-fixpoint search, over arrays built once per model.
 
-    Greatest fixpoint: repeatedly keep the non-goal states that own at least
-    one choice whose successors all stay inside the kept set.
+    ``component_of`` labels the candidate states (-1 for the others).  ``run``
+    drops every alive choice that can leave its component, then the
+    attractor of what fell, round by round: the states left without a choice
+    (component -1) and the alive choices that can enter them.  A round
+    touches only the entries into the states that just fell: linear time.
     """
-    goal = np.asarray(goal, dtype=bool)
-    cs = model.choice_start
-    gs = model.row_group_start
-    keep = ~goal
-    while True:
-        entry_ok = keep[model.entry_target]
-        choice_ok = np.bitwise_and.reduceat(entry_ok, cs[:-1])
-        state_ok = np.bitwise_or.reduceat(choice_ok, gs[:-1])
-        new_keep = keep & state_ok
-        if np.array_equal(new_keep, keep):
-            return keep
-        keep = new_keep
+
+    def __init__(self, model: SparseModel, candidates: np.ndarray):
+        n, choice_state = model.num_states, model.choice_state()
+        self.model, self.choice_state = model, choice_state
+        self.entry_count = np.diff(model.choice_start)
+        self.entry_choice = np.repeat(np.arange(model.num_choices), self.entry_count)
+        self.entry_source = choice_state[self.entry_choice]
+        self.entries_into = _predecessors(model)
+        self.component_of = np.where(candidates, 0, -1)
+        self.choice_alive = candidates[choice_state]
+        self.choices_left = np.bincount(choice_state[self.choice_alive], minlength=n)
+        self.state_slots = np.empty(n, dtype=np.int64)
+        self.choice_slots = np.empty(model.num_choices, dtype=np.int64)
+
+    def run(self) -> bool:
+        """Drop what can leave its component and its attractor; True iff any fell."""
+        component_of, choice_alive = self.component_of, self.choice_alive
+        inside = component_of[self.model.entry_target] == component_of[self.entry_source]
+        stays = np.logical_and.reduceat(inside, self.model.choice_start[:-1])
+        fall = np.flatnonzero(choice_alive & ~stays)
+        dropped = len(fall) > 0
+        while len(fall):
+            choice_alive[fall] = False
+            owners = self.choice_state[fall]
+            np.subtract.at(self.choices_left, owners, 1)
+            dead = _distinct(owners[self.choices_left[owners] == 0], self.state_slots)
+            component_of[dead] = -1
+            into = self.entry_choice[self.entries_into(dead)]
+            fall = _distinct(into[choice_alive[into]], self.choice_slots)
+        return dropped
+
+
+def prob0_min(model: SparseModel, goal: np.ndarray) -> np.ndarray:
+    """States where some resolution of choices avoids ``goal`` forever: the
+    greatest set of non-goal states that each own a choice whose successors
+    all stay inside the set, found by one attractor run from ``~goal``.
+    """
+    attractor = _Attractor(model, ~np.asarray(goal, dtype=bool))
+    attractor.run()
+    return attractor.component_of >= 0
+
+
+def check_contracting(model: SparseModel, target: np.ndarray) -> bool:
+    """True iff every resolution of choices reaches ``target`` almost surely,
+    that is, iff no end component lives entirely outside ``target``.  Such
+    a component is a set that ``prob0_min`` keeps, and every non-empty set
+    it keeps contains one, so no decomposition is needed.
+    """
+    return not prob0_min(model, target).any()
 
 
 # ---------------------------------------------------------------------------
@@ -223,68 +264,28 @@ def mec_decompose(model: SparseModel, restrict: np.ndarray | None = None) -> Mec
     A set of states with one retained choice each forms an end component if
     the retained choices never leave the set and the set is strongly
     connected through them.  This is the classic algorithm (de Alfaro 1997;
-    Baier & Katoen, Alg. 47).  Start from ``restrict`` as one component.
-    Drop every choice that can leave its component, then the attractor of
-    what fell: round by round, the states left without a choice (component
-    -1) and the choices that can enter them.  Split the components with a
-    Tarjan pass over the retained choices, and repeat until a pass leaves
-    nothing to drop.  Each attractor round touches only the entries into
-    the states that just fell, so a pass costs linear time.  MECs come in
-    the completion order of the last pass, each with its states and
-    retained choices ascending.
+    Baier & Katoen, Alg. 47).  Start from ``restrict`` as one component and
+    run ``_Attractor``, which drops every choice that can leave its
+    component and everything that then falls.  Split the components with a
+    Tarjan pass over the retained choices, and repeat until a run drops
+    nothing.  MECs come in the completion order of the last pass, each with
+    its states and retained choices ascending.
     """
     n = model.num_states
-    choice_state = model.choice_state()
-    entry_count = np.diff(model.choice_start)
-    entry_choice = np.repeat(np.arange(model.num_choices), entry_count)
-    entry_source = choice_state[entry_choice]
-    entries_into = _predecessors(model)
     alive = np.ones(n, dtype=bool) if restrict is None else np.asarray(restrict, dtype=bool)
-    component_of = np.where(alive, 0, -1)
-    choice_alive = alive[choice_state]
-    choices_left = np.bincount(choice_state[choice_alive], minlength=n)
-    state_slots = np.empty(n, dtype=np.int64)
-    choice_slots = np.empty(model.num_choices, dtype=np.int64)
-
-    def attract() -> bool:
-        """Drop what can leave its component and its attractor; True iff any fell."""
-        inside = component_of[model.entry_target] == component_of[entry_source]
-        stays = np.logical_and.reduceat(inside, model.choice_start[:-1])
-        fall = np.flatnonzero(choice_alive & ~stays)
-        dropped = len(fall) > 0
-        while len(fall):
-            choice_alive[fall] = False
-            owners = choice_state[fall]
-            np.subtract.at(choices_left, owners, 1)
-            dead = _distinct(owners[choices_left[owners] == 0], state_slots)
-            component_of[dead] = -1
-            into = entry_choice[entries_into(dead)]
-            fall = _distinct(into[choice_alive[into]], choice_slots)
-        return dropped
-
-    attract()
-    while np.any(component_of >= 0):
-        kept = np.repeat(choice_alive, entry_count)
-        roots = np.flatnonzero(component_of >= 0).tolist()
-        component_of = _tarjan(n, entry_source[kept], model.entry_target[kept], roots)
-        if not attract():
+    attractor = _Attractor(model, alive)
+    attractor.run()
+    while (alive := attractor.component_of >= 0).any():
+        kept = np.repeat(attractor.choice_alive, attractor.entry_count)
+        sources, targets = attractor.entry_source[kept], model.entry_target[kept]
+        attractor.component_of = _tarjan(n, sources, targets, np.flatnonzero(alive).tolist())
+        if not attractor.run():
             break
 
-    choice_mec = np.where(choice_alive, component_of[choice_state], -1)
-    mecs = [
-        Mec(states=states, choices=choices)
-        for states, choices in zip(_groups(component_of), _groups(choice_mec))
-    ]
+    component_of, choice_alive = attractor.component_of, attractor.choice_alive
+    choice_mec = np.where(choice_alive, component_of[attractor.choice_state], -1)
+    mecs = list(map(Mec, _groups(component_of), _groups(choice_mec)))
     return MecDecomposition(mecs=mecs, mec_of=component_of)
-
-
-def check_contracting(model: SparseModel, target: np.ndarray) -> bool:
-    """True iff every resolution of choices reaches ``target`` almost surely.
-
-    Equivalent to: no end component lives entirely outside ``target``.
-    """
-    target = np.asarray(target, dtype=bool)
-    return not mec_decompose(model, restrict=~target).mecs
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +366,16 @@ def collapse_end_components(model: SparseModel, partition: Partition) -> Quotien
 
 
 def reach_partition(model: SparseModel, goal: np.ndarray, direction: Direction) -> Partition:
-    """Partition for a reachability-probability query on an absorbing goal."""
+    """Partition for a reachability-probability query on an absorbing goal.
+
+    For ``MINIMIZE`` no set ``M`` of ``maybe`` states can be kept forever
+    (``prob0_min(model, goal | s0)`` is empty), so minimizing solves need no
+    end-component check: ``s0`` is the greatest set of non-goal states that
+    each keep a choice inside the set, and ``s0 | M`` would be a larger one.
+    """
     goal = np.asarray(goal, dtype=bool)
-    if direction is Direction.MAXIMIZE:
-        s0 = prob0_max(model, goal)
-    else:
-        s0 = prob0_min(model, goal)
-    s0 = s0 & ~goal
+    zero = prob0_max if direction is Direction.MAXIMIZE else prob0_min
+    s0 = zero(model, goal) & ~goal
     return Partition(s0=s0, goal=goal.copy(), maybe=~(s0 | goal))
 
 

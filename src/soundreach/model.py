@@ -13,6 +13,7 @@ component subsystems) by copying rows that are already validated.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -22,6 +23,7 @@ from .errors import (
     DanglingTarget,
     EmptyRowGroup,
     InvalidChoiceIndex,
+    ModelError,
     NegativeProbability,
     RowSumError,
 )
@@ -235,8 +237,9 @@ def validate_model(
 
     Checks performed, in order: every state has at least one choice
     (:class:`EmptyRowGroup`), targets lie in range (:class:`DanglingTarget`),
-    probabilities are in ``(0, 1]`` (:class:`NegativeProbability`), and each
-    row sums to 1 within ``ROW_SUM_TOLERANCE`` (:class:`RowSumError`).
+    probabilities are in ``(0, 1]`` (:class:`NegativeProbability`), each
+    row sums to 1 within ``ROW_SUM_TOLERANCE`` (:class:`RowSumError`), and
+    rewards are finite (:class:`ModelError`).
     Duplicate targets within one choice are merged; afterwards each row is
     renormalized by its actual sum so downstream arithmetic sees rows that
     sum to one exactly.
@@ -283,13 +286,13 @@ def validate_model(
                 targets.append(target)
                 probs.append(merged[target] / row_sum)
             choice_start.append(len(targets))
-            if rewards is not None:
-                try:
-                    choice_rewards.append(float(rewards[s][c]))
-                except (IndexError, TypeError):
-                    choice_rewards.append(0.0)
-            else:
-                choice_rewards.append(0.0)
+            try:
+                reward = 0.0 if rewards is None else float(rewards[s][c])
+            except (IndexError, TypeError):
+                reward = 0.0
+            if not math.isfinite(reward):
+                raise ModelError(f"state {s} choice {c}: reward {reward!r} is not finite")
+            choice_rewards.append(reward)
 
     label_masks: dict[str, np.ndarray] = {}
     if labels:

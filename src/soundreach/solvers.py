@@ -122,6 +122,11 @@ class SolverConfig:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
+        if any(b is not None and math.isnan(b) for b in (self.lower, self.upper)):
+            raise ConfigError(f"initial bounds must not be NaN, got [{self.lower}, {self.upper}]")
+        vectors = (self.lower_vector, self.upper_vector)
+        if any(v is not None and np.isnan(v).any() for v in vectors):
+            raise ConfigError("initial bound vectors must not contain NaN")
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             raise ConfigError(
                 f"initial lower bound {self.lower!r} exceeds upper bound {self.upper!r}"
@@ -955,21 +960,22 @@ def solve(
     ``goal`` is a label name or a boolean mask.  Goal states are made
     absorbing, the qualitative partition is computed, and — for maximizing
     probability queries — end components are collapsed so the certified
-    methods face a unique fixpoint.  Reward queries insist that the goal is
-    reached almost surely under every resolution of choices and reject
-    models with end components outside the goal.  svi probability queries
-    start at ``[0, 1]``: a missing bound becomes 0 or 1, a given one is
-    clipped into ``[0, 1]``, and a lower bound above 1 or an upper bound
+    methods face a unique fixpoint (minimizing ones face one already, see
+    ``reach_partition``).  Reward queries insist that the goal is reached
+    almost surely under every resolution of choices and reject models with
+    end components outside the goal.  svi probability queries start at
+    ``[0, 1]``: a missing bound becomes 0 or 1, a given one is clipped into
+    ``[0, 1]``, and a NaN bound, a lower bound above 1 or an upper bound
     below 0 raises ``ConfigError``.  The reported time covers this
     preprocessing plus the iteration itself.
     """
+    config = config.validated()
     if config.method is Method.SVI and config.objective is Objective.PROBABILITY:
         config = replace(
             config,
             lower=0.0 if config.lower is None else max(config.lower, 0.0),
             upper=1.0 if config.upper is None else min(config.upper, 1.0),
-        )
-    config = config.validated()
+        ).validated()
     started = time.perf_counter()
     goal_mask = model.label_mask(goal) if isinstance(goal, str) else np.asarray(goal, dtype=bool)
     prepared = make_absorbing(model, goal_mask)
@@ -982,14 +988,9 @@ def solve(
         partition = reward_partition(prepared, goal_mask)
     else:
         partition = reach_partition(prepared, goal_mask, config.direction)
-        decided = partition.goal | partition.s0
         if config.direction is Direction.MAXIMIZE:
             quotient = collapse_end_components(prepared, partition)
             prepared, partition = quotient.model, quotient.partition
-        elif not check_contracting(prepared, decided):
-            raise NotContracting(
-                "minimizing query on a model that can avoid goal and sure-zero states forever"
-            )
 
     if config.method is Method.SVI:
         result = svi_solve(prepared, partition, config, on_iteration)

@@ -114,6 +114,42 @@ def test_prob0_max_matches_plain_search():
         np.testing.assert_array_equal(sr.prob0_max(model, goal), expected)
 
 
+def reference_prob0_min(model, goal):
+    """The whole-array greatest fixpoint the package used before its attractor
+    search: one round per layer, each keeping the non-goal states with a
+    choice whose successors all stay kept."""
+    keep = ~np.asarray(goal, dtype=bool)
+    while True:
+        choice_ok = np.bitwise_and.reduceat(keep[model.entry_target], model.choice_start[:-1])
+        new_keep = keep & np.bitwise_or.reduceat(choice_ok, model.row_group_start[:-1])
+        if np.array_equal(new_keep, keep):
+            return keep
+        keep = new_keep
+
+
+def test_prob0_min_matches_whole_array_fixpoint():
+    rng = np.random.default_rng(44)
+    kept = 0
+    for i in range(300):
+        model = graph_model(rng) if i % 3 else random_model(rng)[0]
+        goal = rng.random(model.num_states) < rng.choice([0.05, 0.2, 0.5])
+        want = reference_prob0_min(model, goal)
+        np.testing.assert_array_equal(sr.prob0_min(model, goal), want)
+        kept += int(want.any())
+    assert 50 < kept < 290  # both outcomes are exercised
+
+
+def test_prob0_min_deep_attractor():
+    # A 100,000-state chain into the goal at its end: each chain state dies
+    # only after its successor, so the attractor is 100,000 rounds deep.
+    # The two states after the goal can keep circling (or jump into the chain).
+    n = 100_000
+    chain = [[{s + 1: 1.0}] for s in range(n - 1)]
+    model = sr.validate_model([*chain, [{n - 1: 1.0}], [{n + 1: 1.0}, {0: 1.0}], [{n: 1.0}]])
+    zero = sr.prob0_min(model, goal_mask(model, n - 1))
+    np.testing.assert_array_equal(np.flatnonzero(zero), [n, n + 1])
+
+
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
@@ -401,6 +437,23 @@ def test_check_contracting(slow_chain):
     assert sr.check_contracting(slow_chain, goal_mask(slow_chain, 3, 4))
     # leaving the losing sink out keeps a loop alive outside the target
     assert not sr.check_contracting(slow_chain, goal_mask(slow_chain, 4))
+
+
+def test_check_contracting_needs_no_tarjan(monkeypatch):
+    passes = []
+    tarjan = analysis._tarjan
+    monkeypatch.setattr(analysis, "_tarjan", lambda *args: passes.append(1) or tarjan(*args))
+    rng = np.random.default_rng(15)
+    answers = []
+    for i in range(300):
+        model = graph_model(rng) if i % 3 else random_model(rng)[0]
+        target = rng.random(model.num_states) < rng.choice([0.1, 0.3, 0.6])
+        answers.append(sr.check_contracting(model, target))
+        assert not passes
+        want = not sr.mec_decompose(model, restrict=~target).mecs
+        passes.clear()
+        assert answers[-1] == want
+    assert 30 < sum(answers) < 270  # both answers are exercised
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,27 @@ def test_check_solver_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_nan_upper_bound_is_a_config_error(model_dir, capsys):
+    code = run(["check", "--tra", model_dir / "branch.tra",
+                "--lab", model_dir / "branch.lab", "--goal", "goal", "--upper", "nan"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_check_nan_reward_is_a_model_error(tmp_path, capsys):
+    # a contracting chain, so only the reward stands between it and exit 0
+    model = sr.validate_model(
+        [[{0: 0.5, 1: 0.5}], [{1: 1.0}]], labels={"init": [0], "goal": [1]}
+    )
+    tra, lab, trew = tmp_path / "r.tra", tmp_path / "r.lab", tmp_path / "r.trew"
+    sr.write_model(model, tra, lab)
+    trew.write_text("0 0 nan\n")
+    code = run(["check", "--tra", tra, "--lab", lab, "--trew", trew, "--goal", "goal",
+                "--objective", "reward"])
+    assert code == 2
+    assert "state 0 choice 0" in capsys.readouterr().err
+
+
 def test_check_stats_appends(model_dir, tmp_path, capsys):
     stats = tmp_path / "stats.csv"
     for _ in range(2):

@@ -102,6 +102,14 @@ def test_rewards_default_to_zero():
     np.testing.assert_allclose(m.choice_reward, [2.5, 0.0])
 
 
+@pytest.mark.parametrize("reward", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_reward_rejected(reward):
+    with pytest.raises(sr.ModelError, match="state 1 choice 1"):
+        sr.validate_model(
+            [[{1: 1.0}], [{1: 1.0}, {0: 1.0}]], rewards=[[1.0], [0.0, reward]]
+        )
+
+
 def test_model_equality_covers_labels():
     # equality is exact, labels included — it backs the file round-trip test
     a = sr.validate_model([[{1: 1.0}], [{1: 1.0}]], labels={"x": [0]})

@@ -780,6 +780,42 @@ def test_solve_starts_probability_queries_inside_zero_one(branching_mdp):
             sr.solve(branching_mdp, "goal", sr.SolverConfig(**bounds))
 
 
+@pytest.mark.parametrize("method", [sr.Method.SVI, sr.Method.II])
+@pytest.mark.parametrize("bound", ["lower", "upper"])
+def test_nan_start_bound_rejected(branching_mdp, method, bound):
+    # solve() clips svi probability bounds into [0, 1], and the clip keeps a
+    # NaN; the check must come first
+    config = sr.SolverConfig(method=method, max_iterations=1000, **{bound: math.nan})
+    with pytest.raises(sr.ConfigError):
+        sr.solve(branching_mdp, "goal", config)
+    with pytest.raises(sr.ConfigError):
+        config.validated()
+
+
+@pytest.mark.parametrize("bound", ["lower_vector", "upper_vector"])
+def test_nan_start_bound_vector_rejected(slow_chain, bound):
+    vectors = {"lower_vector": np.zeros(5), "upper_vector": np.ones(5)}
+    vectors[bound] = np.full(5, math.nan)
+    config = sr.SolverConfig(method=sr.Method.II, max_iterations=1000, **vectors)
+    with pytest.raises(sr.ConfigError):
+        sr.solve(slow_chain, "goal", config)
+
+
+def test_min_partition_leaves_nothing_to_avoid_forever():
+    # solve() runs no end-component check on minimizing probability queries:
+    # s0 already holds every state that can avoid the goal forever, so no set
+    # of undecided states can be kept forever either
+    rng = np.random.default_rng(99)
+    nonempty = 0
+    for _ in range(1000):
+        model, goal = random_model(rng)
+        absorbed = sr.make_absorbing(model, goal)
+        partition = sr.reach_partition(absorbed, goal, sr.Direction.MINIMIZE)
+        assert not sr.prob0_min(absorbed, goal | partition.s0).any()
+        nonempty += int(partition.s0.any())
+    assert nonempty > 100
+
+
 def test_probability_results_never_cross_or_leave_zero_one():
     # Rounding can carry lower past upper at 1: F1 from [0, 1] computes
     # [1.0000000000000007, 1.0000000000000002] before the clip.
