@@ -257,6 +257,8 @@ class _Instance:
     direction: Direction
     srew: Path | None = None
     trew: Path | None = None
+    lower: float | None = None
+    upper: float | None = None
 
 
 def _parse_manifest(path: Path) -> list[_Instance]:
@@ -277,7 +279,7 @@ def _parse_manifest(path: Path) -> list[_Instance]:
             if "=" not in token:
                 raise ConfigError(f"manifest extra field must be key=value: {token!r}")
             key, value = token.split("=", 1)
-            if key not in ("srew", "trew"):
+            if key not in ("srew", "trew", "lower", "upper"):
                 raise ConfigError(f"unknown manifest field {key!r} in {line!r}")
             extras[key] = value
         base = path.parent
@@ -292,6 +294,8 @@ def _parse_manifest(path: Path) -> list[_Instance]:
                     direction=Direction.parse(direction),
                     srew=base / extras["srew"] if "srew" in extras else None,
                     trew=base / extras["trew"] if "trew" in extras else None,
+                    lower=float(extras["lower"]) if "lower" in extras else None,
+                    upper=float(extras["upper"]) if "upper" in extras else None,
                 )
             )
         except ValueError as exc:
@@ -365,6 +369,8 @@ def _bench_one(
         objective=instance.objective,
         epsilon=epsilon,
         topological=topological,
+        lower=instance.lower,
+        upper=instance.upper,
     )
     try:
         result = solve(model, instance.goal, config)

@@ -10,18 +10,26 @@ optionally followed by an action name.  Label files (``.lab``) declare
 (``.srew``: ``<state> <reward>``) or per choice (``.trew``:
 ``<from> <choice> <reward>``).  Everywhere, ``#`` starts a comment and blank
 lines are skipped.
+
+One tokenizer, ``_table``, turns transition and reward lines into flat
+arrays; ``load_model`` hands them to the model's validation core, which
+merges duplicate lines and renormalizes rows.  The ``parse_*`` functions
+are dict views over the same tokenizer.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     DanglingTarget,
+    EmptyRowGroup,
     HeaderMismatch,
     MissingInit,
     MultipleInitStates,
@@ -29,7 +37,8 @@ from .errors import (
     ParseError,
     UnknownLabelId,
 )
-from .model import SparseModel, validate_model
+# validate_model stays imported: perfbench/tracing.py wraps it here.
+from .model import SparseModel, _build_model, validate_model
 
 __all__ = [
     "ModelBundle",
@@ -55,12 +64,14 @@ class ModelBundle:
 
 
 def _content_lines(text: str) -> list[str]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    return lines
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in stripped if line]
+
+
+def _token_rows(text: str) -> list[list[str]]:
+    """The tokens of each line that ``_content_lines`` keeps."""
+    split = (raw.split("#", 1)[0].split() for raw in text.splitlines())
+    return [tokens for tokens in split if tokens]
 
 
 def _ints(tokens: list[str], line: str) -> list[int]:
@@ -70,39 +81,144 @@ def _ints(tokens: list[str], line: str) -> list[int]:
         raise ParseError(f"expected integers in line {line!r}") from None
 
 
+def _table(text, rows, fields, what, check):
+    """Turn ``rows``, the tokens of the last content lines of ``text``, into
+    integer columns (the rows of one array) and a float column, converted
+    exactly as ``int()`` and ``float()`` do.  Also returns ``fail``, which
+    callers call when an array check finds a fault: it walks the lines and
+    raises the error of the first bad one, quoting it (a wrong field count,
+    a bad number, or what ``check(numbers, line)`` raises).
+    """
+
+    def fail():
+        lines = _content_lines(text)
+        for line, tokens in zip(lines[len(lines) - len(rows):], rows):
+            if len(tokens) not in fields:
+                counts = " or ".join(map(str, fields))
+                raise ParseError(f"{what} line needs {counts} fields: {line!r}")
+            numbers = _ints(tokens[: fields[0] - 1], line)
+            try:
+                float(tokens[fields[0] - 1])
+            except ValueError:
+                value = "reward" if "reward" in what else "probability"
+                raise ParseError(f"bad {value} in line {line!r}") from None
+            check(numbers, line)
+            if any(abs(k) >= 2**63 for k in numbers):
+                raise DanglingTarget(f"index out of range in line {line!r}")
+        raise ParseError(f"malformed {what} lines")
+
+    width, n = fields[0], len(rows)
+    try:
+        if not set(map(len, rows)) <= set(fields):
+            raise ValueError
+        tokens = list(chain.from_iterable(row[:width] for row in rows))  # no names
+        numbers = chain.from_iterable(tokens[k::width] for k in range(width - 1))
+        ints = np.fromiter(map(int, numbers), np.int64, n * (width - 1)).reshape(width - 1, n)
+        values = np.fromiter(map(float, tokens[width - 1 :: width]), np.float64, n)
+    except (ValueError, OverflowError):
+        fail()
+    return ints, values, fail
+
+
+class _Transitions(NamedTuple):
+    """A transition file as flat arrays, entries in file order."""
+
+    kind: str
+    sizes: np.ndarray  # choices per state
+    row_group_start: np.ndarray
+    choice: np.ndarray  # choice of each entry, numbered in row-group order
+    target: np.ndarray
+    prob: np.ndarray
+    actions: list | None  # action name per choice, when a line names one
+
+
+def _read_tra(text: str, arity: int | None = None) -> _Transitions:
+    """Tokenize a transition file whose header has ``arity`` (or either) counts.
+
+    Line errors come first, in line order; then :class:`HeaderMismatch`
+    for counts, and :class:`EmptyRowGroup` for more states than lines,
+    before anything is allocated per state.  Duplicate lines are kept.
+    """
+    rows = _token_rows(text)
+    if not rows:
+        raise ParseError("transition file is empty")
+    header, line = rows[0], " ".join(rows[0])
+    if len(header) not in ((arity,) if arity else (2, 3)):
+        expected = arity or "2 (chain) or 3 (MDP)"
+        raise HeaderMismatch(f"header needs {expected} counts, got {len(header)}: {line!r}")
+    counts = _ints(header, line)
+    if min(counts) < 0:
+        raise HeaderMismatch(f"negative count in header {line!r}")
+    mdp, num_states, rows = len(counts) == 3, counts[0], rows[1:]
+
+    def check(numbers, line):
+        for end, state in (("source", numbers[0]), ("target", numbers[-1])):
+            if not (0 <= state < num_states):
+                raise DanglingTarget(f"{end} state {state} out of range in {line!r}")
+        if mdp and numbers[1] < 0:
+            raise NonContiguousChoices(f"negative choice index in {line!r}")
+
+    what = "MDP transition" if mdp else "chain transition"
+    ints, prob, fail = _table(text, rows, (4, 5) if mdp else (3,), what, check)
+    src, local, dst = ints[0], ints[1], ints[-1]
+    top = ints.max(axis=1, initial=0).tolist()
+    if ints.min(initial=0) < 0 or top[0] >= num_states or top[-1] >= num_states:
+        fail()
+    if len(rows) != counts[-1]:
+        raise HeaderMismatch(f"header declares {counts[-1]} transitions, file has {len(rows)}")
+    if num_states > len(rows):
+        raise EmptyRowGroup(
+            f"header declares {num_states} states, but the file has only "
+            f"{len(rows)} transition lines"
+        )
+    if not mdp:
+        first = np.arange(num_states + 1)
+        return _Transitions("mc", np.ones(num_states, np.int64), first, src, dst, prob, None)
+
+    # Number each state's choices up to its largest index.  The indices are
+    # 0..k-1 when every number is used; every choice needs a line, so more
+    # numbers than lines (or an index that large) fail first.
+    sizes = np.zeros(num_states, np.int64)
+    if top[1] < len(rows):
+        np.maximum.at(sizes, src, local + 1)
+    row_group_start = np.zeros(num_states + 1, np.int64)
+    sizes.cumsum(out=row_group_start[1:])
+    total = int(row_group_start[-1])
+    choice = row_group_start[src] + local
+    if not (
+        top[1] < len(rows)
+        and total <= len(rows)
+        and np.count_nonzero(np.bincount(choice, minlength=total)) == total
+    ):
+        previous = (-1, -1)
+        for s, c in sorted(set(zip(src.tolist(), local.tolist()))):
+            if c != (previous[1] + 1 if s == previous[0] else 0):
+                used = sorted(set(local[src == s].tolist()))
+                raise NonContiguousChoices(f"state {s} uses choice indices {used}")
+            previous = (s, c)
+    if total != counts[1]:
+        raise HeaderMismatch(f"header declares {counts[1]} choices, file has {total}")
+    actions = None
+    if max(map(len, rows), default=0) == 5:
+        actions = [None] * total
+        for i in (i for i, tokens in enumerate(rows) if len(tokens) == 5):
+            if actions[choice[i]] not in (None, rows[i][4]):
+                raise ParseError(f"choice {local[i]} of state {src[i]} carries two action names")
+            actions[choice[i]] = rows[i][4]
+    return _Transitions("mdp", sizes, row_group_start, choice, dst, prob, actions)
+
+
+def _merged_rows(tra: _Transitions) -> list[dict[int, float]]:
+    """One ``{target: prob}`` dict per choice, duplicates summed in file order."""
+    rows: list[dict[int, float]] = [{} for _ in range(int(tra.row_group_start[-1]))]
+    for c, t, p in zip(tra.choice.tolist(), tra.target.tolist(), tra.prob.tolist()):
+        rows[c][t] = rows[c].get(t, 0.0) + p
+    return rows
+
+
 def parse_mc_tra(text: str) -> list[dict[int, float]]:
     """Parse Markov chain transitions into one ``{target: prob}`` row per state."""
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError("transition file is empty")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise HeaderMismatch(
-            f"chain header needs 2 counts, got {len(header)}: {lines[0]!r}"
-        )
-    num_states, num_transitions = _ints(header, lines[0])
-    rows: list[dict[int, float]] = [dict() for _ in range(num_states)]
-    seen = 0
-    for line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise ParseError(f"chain transition line needs 3 fields: {line!r}")
-        src, dst = _ints(tokens[:2], line)
-        try:
-            prob = float(tokens[2])
-        except ValueError:
-            raise ParseError(f"bad probability in line {line!r}") from None
-        if not (0 <= src < num_states):
-            raise DanglingTarget(f"source state {src} out of range in {line!r}")
-        if not (0 <= dst < num_states):
-            raise DanglingTarget(f"target state {dst} out of range in {line!r}")
-        rows[src][dst] = rows[src].get(dst, 0.0) + prob
-        seen += 1
-    if seen != num_transitions:
-        raise HeaderMismatch(
-            f"header declares {num_transitions} transitions, file has {seen}"
-        )
-    return rows
+    return _merged_rows(_read_tra(text, 2))
 
 
 def parse_mdp_tra(
@@ -113,65 +229,10 @@ def parse_mdp_tra(
     Returns ``(groups, choice_labels)`` where ``groups[s][c]`` maps targets to
     probabilities and ``choice_labels`` is flat in row-group order.
     """
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError("transition file is empty")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise HeaderMismatch(
-            f"MDP header needs 3 counts, got {len(header)}: {lines[0]!r}"
-        )
-    num_states, num_choices, num_transitions = _ints(header, lines[0])
-    groups: list[dict[int, dict[int, float]]] = [dict() for _ in range(num_states)]
-    actions: list[dict[int, str]] = [dict() for _ in range(num_states)]
-    seen = 0
-    for line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) not in (4, 5):
-            raise ParseError(f"MDP transition line needs 4 or 5 fields: {line!r}")
-        src, choice, dst = _ints(tokens[:3], line)
-        try:
-            prob = float(tokens[3])
-        except ValueError:
-            raise ParseError(f"bad probability in line {line!r}") from None
-        if not (0 <= src < num_states):
-            raise DanglingTarget(f"source state {src} out of range in {line!r}")
-        if not (0 <= dst < num_states):
-            raise DanglingTarget(f"target state {dst} out of range in {line!r}")
-        if choice < 0:
-            raise NonContiguousChoices(f"negative choice index in {line!r}")
-        row = groups[src].setdefault(choice, {})
-        row[dst] = row.get(dst, 0.0) + prob
-        if len(tokens) == 5:
-            previous = actions[src].get(choice)
-            if previous is not None and previous != tokens[4]:
-                raise ParseError(
-                    f"choice {choice} of state {src} carries two action names"
-                )
-            actions[src][choice] = tokens[4]
-        seen += 1
-    if seen != num_transitions:
-        raise HeaderMismatch(
-            f"header declares {num_transitions} transitions, file has {seen}"
-        )
-
-    result: list[list[dict[int, float]]] = []
-    choice_labels: list[str | None] = []
-    total_choices = 0
-    for s, per_state in enumerate(groups):
-        if per_state and sorted(per_state) != list(range(len(per_state))):
-            raise NonContiguousChoices(
-                f"state {s} uses choice indices {sorted(per_state)}"
-            )
-        ordered = [per_state[c] for c in range(len(per_state))]
-        result.append(ordered)
-        choice_labels.extend(actions[s].get(c) for c in range(len(per_state)))
-        total_choices += len(ordered)
-    if total_choices != num_choices:
-        raise HeaderMismatch(
-            f"header declares {num_choices} choices, file has {total_choices}"
-        )
-    return result, choice_labels
+    tra = _read_tra(text, 3)
+    rows, start = _merged_rows(tra), tra.row_group_start.tolist()
+    groups = [rows[lo:hi] for lo, hi in zip(start[:-1], start[1:])]
+    return groups, tra.actions or [None] * len(rows)
 
 
 _LABEL_DECL = re.compile(r'(\d+)="([^"]*)"')
@@ -204,6 +265,12 @@ def parse_labels(text: str, num_states: int) -> dict[str, np.ndarray]:
     return masks
 
 
+def _read_rewards(text: str, kind: str, check=lambda numbers, line: None):
+    """Tokenize a reward file: its key columns, its rewards and ``fail``."""
+    fields = (2,) if kind == "state" else (3,)
+    return _table(text, _token_rows(text), fields, f"{kind} reward", check)
+
+
 def parse_rewards(text: str, *, kind: str) -> dict:
     """Parse a reward file.
 
@@ -214,20 +281,10 @@ def parse_rewards(text: str, *, kind: str) -> dict:
     """
     if kind not in ("state", "choice"):
         raise ValueError(f"kind must be 'state' or 'choice', got {kind!r}")
-    expected = 2 if kind == "state" else 3
+    keys, values, _ = _read_rewards(text, kind)
+    columns = [k.tolist() for k in keys]
     out: dict = {}
-    for line in _content_lines(text):
-        tokens = line.split()
-        if len(tokens) != expected:
-            raise ParseError(
-                f"{kind} reward line needs {expected} fields: {line!r}"
-            )
-        try:
-            value = float(tokens[-1])
-        except ValueError:
-            raise ParseError(f"bad reward in line {line!r}") from None
-        key_ints = _ints(tokens[:-1], line)
-        key = key_ints[0] if kind == "state" else (key_ints[0], key_ints[1])
+    for key, value in zip(columns[0] if kind == "state" else zip(*columns), values.tolist()):
         out[key] = out.get(key, 0.0) + value
     return out
 
@@ -244,71 +301,60 @@ def load_model(
     """
     tra_path = Path(tra_path)
     lab_path = Path(lab_path)
-    text = tra_path.read_text()
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError(f"{tra_path}: transition file is empty")
-    arity = len(lines[0].split())
-
-    choice_labels: list[str | None] | None = None
-    if arity == 2:
-        kind = "mc"
-        rows = parse_mc_tra(text)
-        groups = [[row] for row in rows]
-    elif arity == 3:
-        kind = "mdp"
-        groups, choice_labels = parse_mdp_tra(text)
-    else:
-        raise HeaderMismatch(
-            f"{tra_path}: header has {arity} fields, expected 2 (chain) or 3 (MDP)"
-        )
-    num_states = len(groups)
+    tra = _read_tra(tra_path.read_text())
+    num_states, num_choices = len(tra.sizes), int(tra.row_group_start[-1])
 
     labels = parse_labels(lab_path.read_text(), num_states)
-    if "init" not in labels or not labels["init"].any():
+    init_states = labels["init"].nonzero()[0] if "init" in labels else ()
+    if not len(init_states):
         raise MissingInit(f"{lab_path}: no state carries the 'init' label")
-    init_states = np.flatnonzero(labels["init"])
     if len(init_states) != 1:
         raise MultipleInitStates(
             f"{lab_path}: 'init' marks states {init_states.tolist()}"
         )
 
-    state_rewards: dict = {}
-    choice_rewards: dict = {}
-    if srew_path is not None:
-        state_rewards = parse_rewards(Path(srew_path).read_text(), kind="state")
-    if trew_path is not None:
-        choice_rewards = parse_rewards(Path(trew_path).read_text(), kind="choice")
-    for state in state_rewards:
-        if not (0 <= state < num_states):
-            raise DanglingTarget(f"state reward for unknown state {state}")
-    for state, choice in choice_rewards:
-        if not (0 <= state < num_states):
-            raise DanglingTarget(f"choice reward for unknown state {state}")
-        if not (0 <= choice < len(groups[state])):
+    def known(numbers, line):
+        s = numbers[0]
+        if not (0 <= s < num_states):
+            raise DanglingTarget(f"reward for unknown state {s} in {line!r}")
+        if len(numbers) == 2 and not (0 <= numbers[1] < tra.sizes[s]):
             raise DanglingTarget(
-                f"choice reward for state {state} choice {choice}, "
-                f"which has {len(groups[state])} choices"
+                f"reward for choice {numbers[1]} of state {s}, which has "
+                f"{tra.sizes[s]} choices: {line!r}"
             )
 
-    rewards = [
-        [
-            state_rewards.get(s, 0.0) + choice_rewards.get((s, c), 0.0)
-            for c in range(len(group))
-        ]
-        for s, group in enumerate(groups)
-    ]
+    # Each file sums its rewards in file order, from 0.0 (bincount adds its
+    # weights one at a time, as Python does); a choice earns its state's sum
+    # plus its own.
+    reward = np.zeros(num_choices)
+    if srew_path is not None:
+        (states,), values, fail = _read_rewards(Path(srew_path).read_text(), "state", known)
+        if states.min(initial=0) < 0 or states.max(initial=0) >= num_states:
+            fail()
+        reward = np.bincount(states, weights=values, minlength=num_states).repeat(tra.sizes)
+    if trew_path is not None:
+        keys, values, fail = _read_rewards(Path(trew_path).read_text(), "choice", known)
+        owners, local = keys
+        if keys.min(initial=0) < 0 or owners.max(initial=0) >= num_states or (
+            local >= tra.sizes[owners]
+        ).any():
+            fail()
+        own = np.bincount(tra.row_group_start[owners] + local, weights=values, minlength=num_choices)
+        reward = reward + own if srew_path is not None else own
 
-    model = validate_model(
-        groups,
+    model = _build_model(
+        tra.sizes,
+        tra.choice,
+        tra.target,
+        tra.prob,
+        reward,
         initial_state=int(init_states[0]),
-        rewards=rewards,
         labels=labels,
-        choice_labels=choice_labels if kind == "mdp" else None,
+        choice_labels=tra.actions,
     )
     return ModelBundle(
         model=model,
-        kind=kind,
+        kind=tra.kind,
         tra_path=tra_path,
         lab_path=lab_path,
         srew_path=Path(srew_path) if srew_path else None,
@@ -327,55 +373,71 @@ def write_model(
     """Write a model back out in the explicit-state grammar.
 
     ``kind`` forces the transition format; by default chains (one choice per
-    state) are written in chain format, everything else as an MDP.  All
-    choice rewards (state rewards were folded in at load time) go to
-    ``trew_path`` when given.  Probabilities are printed with ``repr`` so a
-    write/load round trip reproduces the exact float64 values.
+    state, no action names) are written in chain format, everything else as
+    an MDP.  All choice rewards (state rewards were folded in at load time)
+    go to ``trew_path`` when given.  Probabilities are printed with ``repr``,
+    so the file holds the exact float64 values; loading renormalizes each
+    row again, which can move a probability by an ulp.
+
+    Raises :class:`ValueError`, before any file is written, for what the
+    format cannot carry back: an ``init`` label that is missing or does not
+    mark exactly the initial state, a label name with ``"``, ``#`` or a
+    line break, an action name that is empty or holds whitespace or ``#``,
+    and action names in chain format.
     """
+    names = model.choice_labels
     if kind is None:
-        kind = "mc" if model.is_mc else "mdp"
+        kind = "mc" if model.is_mc and names is None else "mdp"
     if kind not in ("mc", "mdp"):
         raise ValueError(f"kind must be 'mc' or 'mdp', got {kind!r}")
     if kind == "mc" and not model.is_mc:
         raise ValueError("cannot write a multi-choice model in chain format")
-
-    lines: list[str] = []
-    if kind == "mc":
-        lines.append(f"{model.num_states} {model.num_transitions}")
-        for s in range(model.num_states):
-            c = int(model.row_group_start[s])
-            targets, probs = model.entries_of(c)
-            for t, p in zip(targets.tolist(), probs.tolist()):
-                lines.append(f"{s} {t} {p!r}")
-    else:
-        lines.append(
-            f"{model.num_states} {model.num_choices} {model.num_transitions}"
+    if kind == "mc" and names is not None:
+        raise ValueError("chain format cannot carry action names")
+    init = model.labels.get("init")
+    if init is None or np.count_nonzero(init) != 1 or not init[model.initial_state]:
+        raise ValueError(
+            f"the 'init' label must mark exactly the initial state {model.initial_state}"
         )
-        for s in range(model.num_states):
-            for local, c in enumerate(model.choices_of(s)):
-                targets, probs = model.entries_of(c)
-                action = None
-                if model.choice_labels is not None:
-                    action = model.choice_labels[c]
-                suffix = f" {action}" if action else ""
-                for t, p in zip(targets.tolist(), probs.tolist()):
-                    lines.append(f"{s} {local} {t} {p!r}{suffix}")
+    for name in model.labels:
+        if '"' in name or "#" in name or len(name.splitlines()) > 1:
+            raise ValueError(f"label name {name!r} cannot be written")
+    for name in names or ():
+        if name is not None and ("#" in name or name.split() != [name]):
+            raise ValueError(f"action name {name!r} cannot be written")
+
+    first, starts = model.row_group_start.tolist(), model.choice_start.tolist()
+    targets, probs = model.entry_target.tolist(), model.entry_prob.tolist()
+    names = names or [None] * model.num_choices
+    if kind == "mc":
+        lines = [f"{model.num_states} {model.num_transitions}"]
+    else:
+        lines = [f"{model.num_states} {model.num_choices} {model.num_transitions}"]
+    for s in range(model.num_states):
+        for c in range(first[s], first[s + 1]):
+            head = f"{s} " if kind == "mc" else f"{s} {c - first[s]} "
+            tail = f" {names[c]}" if names[c] else ""
+            lo, hi = starts[c], starts[c + 1]
+            lines += [f"{head}{t} {p!r}{tail}" for t, p in zip(targets[lo:hi], probs[lo:hi])]
     Path(tra_path).write_text("\n".join(lines) + "\n")
 
-    names = sorted(model.labels, key=lambda name: (name != "init", name))
-    decl = " ".join(f'{i}="{name}"' for i, name in enumerate(names))
-    label_lines = [decl]
-    for s in range(model.num_states):
-        ids = [str(i) for i, name in enumerate(names) if model.labels[name][s]]
-        if ids:
-            label_lines.append(f"{s}: {' '.join(ids)}")
+    label_names = sorted(model.labels, key=lambda name: (name != "init", name))
+    ids = [str(i) for i in range(len(label_names))]
+    marks = np.array([model.labels[name] for name in label_names]).T.tolist()
+    label_lines = [" ".join(f'{i}="{name}"' for i, name in zip(ids, label_names))]
+    label_lines += [
+        f"{s}: {' '.join(i for i, on in zip(ids, row) if on)}"
+        for s, row in enumerate(marks)
+        if any(row)
+    ]
     Path(lab_path).write_text("\n".join(label_lines) + "\n")
 
     if trew_path is not None:
-        reward_lines = []
-        for s in range(model.num_states):
-            for local, c in enumerate(model.choices_of(s)):
-                r = float(model.choice_reward[c])
-                if r != 0.0:
-                    reward_lines.append(f"{s} {local} {r!r}")
+        rewards = model.choice_reward.tolist()
+        reward_lines = [
+            f"{s} {c - first[s]} {rewards[c]!r}"
+            for s in range(model.num_states)
+            for c in range(first[s], first[s + 1])
+            if rewards[c] != 0.0
+        ]
         Path(trew_path).write_text("\n".join(reward_lines) + "\n")

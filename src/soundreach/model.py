@@ -4,18 +4,19 @@ A model is stored in compressed row form: states own contiguous *row groups*
 of choices, choices own contiguous runs of transition entries.  A Markov
 chain is simply a model in which every row group has exactly one choice.
 All probabilities are float64 and every row is renormalized to sum to one
-exactly once, at validation time, bit for bit: ``validate_model`` serves
-input from outside the program, and ``submodel`` builds every derived model
-(``make_absorbing``, ``induce_mc``, end-component quotients, topological
-component subsystems) by copying rows that are already validated.
+exactly once, bit for bit, in the one validation core ``_build_model``.  It
+takes flat entry arrays in input order, which ``validate_model`` reads from
+nested lists and ``explicit.load_model`` from files.  ``submodel`` builds
+every derived model (``make_absorbing``, ``induce_mc``, end-component
+quotients, topological component subsystems) by copying rows that are
+already validated.
 """
 
 from __future__ import annotations
 
 import enum
-import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -214,12 +215,6 @@ class Scheduler:
 # ---------------------------------------------------------------------------
 
 
-def _iter_entries(choice) -> Iterable[tuple[int, float]]:
-    if isinstance(choice, Mapping):
-        return choice.items()
-    return choice
-
-
 def validate_model(
     choices: Sequence,
     *,
@@ -234,84 +229,160 @@ def validate_model(
     either a mapping ``{target: probability}`` or an iterable of
     ``(target, probability)`` pairs.  ``rewards[s][c]`` optionally assigns a
     reward to choice ``c`` of state ``s`` (missing rewards default to 0).
-
-    Checks performed, in order: every state has at least one choice
-    (:class:`EmptyRowGroup`), targets lie in range (:class:`DanglingTarget`),
-    probabilities are in ``(0, 1]`` (:class:`NegativeProbability`), each
-    row sums to 1 within ``ROW_SUM_TOLERANCE`` (:class:`RowSumError`), and
-    rewards are finite (:class:`ModelError`).
-    Duplicate targets within one choice are merged; afterwards each row is
-    renormalized by its actual sum so downstream arithmetic sees rows that
-    sum to one exactly.
+    The input is read once into flat arrays for :func:`_build_model`, which
+    checks them, merges duplicate targets and renormalizes the rows.
     """
-    num_states = len(choices)
+    sizes, lengths, targets, probs, choice_rewards = [], [], [], [], []
+    for s, group in enumerate(choices):
+        group = list(group)
+        sizes.append(len(group))
+        for c, raw_choice in enumerate(group):
+            before = len(targets)
+            if isinstance(raw_choice, (dict, Mapping)):  # dict first: no ABC check
+                targets.extend(raw_choice.keys())
+                probs.extend(raw_choice.values())
+            else:
+                for target, prob in raw_choice:
+                    targets.append(target)
+                    probs.append(prob)
+            lengths.append(len(targets) - before)
+            try:
+                choice_rewards.append(0.0 if rewards is None else float(rewards[s][c]))
+            except (IndexError, TypeError):
+                choice_rewards.append(0.0)
+    try:
+        entry_target = np.fromiter(map(int, targets), np.int64, len(targets))
+    except OverflowError:
+        raise DanglingTarget(f"a target is out of range: {max(abs(int(t)) for t in targets)}") from None
+    return _build_model(
+        np.array(sizes, dtype=np.int64),
+        np.arange(len(lengths)).repeat(lengths),
+        entry_target,
+        np.fromiter(map(float, probs), np.float64, len(probs)),
+        np.array(choice_rewards, dtype=np.float64),
+        initial_state=initial_state,
+        labels=labels,
+        choice_labels=choice_labels,
+    )
+
+
+def _run_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum each run ``values[start : start + length]`` left to right.
+
+    The runs are added one column at a time, longest runs first, so every
+    sum rounds exactly as Python's ``sum`` over its run does (unlike
+    ``np.add.reduceat``, which groups the additions differently).
+    """
+    ending = np.bincount(lengths).tolist()  # runs of each length
+    if len(ending) <= 2:
+        return values[starts]
+    order = lengths.argsort()[::-1]
+    heads = starts[order]
+    total = values[heads]
+    live = len(lengths) - ending[0] - ending[1]  # runs longer than k
+    for k in range(1, len(ending) - 1):
+        total[:live] += values[heads[:live] + k]
+        live -= ending[k + 1]
+    out = np.empty_like(total)
+    out[order] = total
+    return out
+
+
+def _build_model(
+    sizes: np.ndarray,
+    entry_choice: np.ndarray,
+    entry_target: np.ndarray,
+    entry_prob: np.ndarray,
+    choice_reward: np.ndarray,
+    *,
+    initial_state: int,
+    labels: Mapping | None = None,
+    choice_labels: Sequence | None = None,
+) -> SparseModel:
+    """Check flat transition data and build a :class:`SparseModel` from it.
+
+    ``sizes[s]`` counts the choices of state ``s``; choices are numbered in
+    row-group order, and entry ``e``, in input order, leads choice
+    ``entry_choice[e]`` to ``entry_target[e]`` with ``entry_prob[e]``.
+    Checks, in order: a state and the initial state exist, every state has a
+    choice (:class:`EmptyRowGroup`), targets exist (:class:`DanglingTarget`),
+    every raw probability is in ``(0, 1]`` (:class:`NegativeProbability`),
+    every choice has an entry (:class:`EmptyRowGroup`), each merged row sums
+    to 1 within ``ROW_SUM_TOLERANCE`` (:class:`RowSumError`), rewards are
+    finite (:class:`ModelError`) and labels name existing states; each check
+    reports its first offender.  Duplicate targets are summed in entry
+    order; each row is summed in the order its targets first appear and
+    divided by that sum.  This is the one place where rows are renormalized.
+    """
+    num_states = len(sizes)
     if num_states == 0:
         raise EmptyRowGroup("a model needs at least one state")
     if not (0 <= initial_state < num_states):
         raise DanglingTarget(f"initial state {initial_state} out of range 0..{num_states - 1}")
+    if np.count_nonzero(sizes) < num_states:
+        raise EmptyRowGroup(f"state {int(np.argmin(sizes))} has no choice")
+    row_group_start = np.zeros(num_states + 1, np.int64)
+    sizes.cumsum(out=row_group_start[1:])
+    num_choices = int(row_group_start[-1])
 
-    row_group_start = np.zeros(num_states + 1, dtype=np.int64)
-    choice_start: list[int] = [0]
-    targets: list[int] = []
-    probs: list[float] = []
-    choice_rewards: list[float] = []
+    def where(choice) -> str:
+        s = int(np.searchsorted(row_group_start, choice, side="right")) - 1
+        return f"state {s} choice {int(choice) - int(row_group_start[s])}"
 
-    for s, group in enumerate(choices):
-        group = list(group)
-        if not group:
-            raise EmptyRowGroup(f"state {s} has no choice")
-        row_group_start[s + 1] = row_group_start[s] + len(group)
-        for c, raw_choice in enumerate(group):
-            merged: dict[int, float] = {}
-            for target, prob in _iter_entries(raw_choice):
-                target = int(target)
-                prob = float(prob)
-                if not (0 <= target < num_states):
-                    raise DanglingTarget(
-                        f"state {s} choice {c}: target {target} out of range"
-                    )
-                if not (0.0 < prob <= 1.0 + ROW_SUM_TOLERANCE):
-                    raise NegativeProbability(
-                        f"state {s} choice {c}: probability {prob!r} outside (0, 1]"
-                    )
-                merged[target] = merged.get(target, 0.0) + prob
-            if not merged:
-                raise EmptyRowGroup(f"state {s} choice {c} has no transition")
-            row_sum = sum(merged.values())
-            if abs(row_sum - 1.0) > ROW_SUM_TOLERANCE:
-                raise RowSumError(
-                    f"state {s} choice {c}: probabilities sum to {row_sum!r}"
-                )
-            for target in sorted(merged):
-                targets.append(target)
-                probs.append(merged[target] / row_sum)
-            choice_start.append(len(targets))
-            try:
-                reward = 0.0 if rewards is None else float(rewards[s][c])
-            except (IndexError, TypeError):
-                reward = 0.0
-            if not math.isfinite(reward):
-                raise ModelError(f"state {s} choice {c}: reward {reward!r} is not finite")
-            choice_rewards.append(reward)
+    if entry_target.min(initial=0) < 0 or entry_target.max(initial=0) >= num_states:
+        e = int(np.argmax((entry_target < 0) | (entry_target >= num_states)))
+        raise DanglingTarget(f"{where(entry_choice[e])}: target {entry_target[e]} out of range")
+    top = 1.0 + ROW_SUM_TOLERANCE
+    # a NaN fails both comparisons, as it fails 0 < p <= top
+    if not (entry_prob.min(initial=1.0) > 0.0 and entry_prob.max(initial=0.0) <= top):
+        e = int(np.argmin((entry_prob > 0.0) & (entry_prob <= top)))
+        raise NegativeProbability(
+            f"{where(entry_choice[e])}: probability {float(entry_prob[e])!r} outside (0, 1]"
+        )
+    lengths = np.bincount(entry_choice, minlength=num_choices)
+    if np.count_nonzero(lengths) < num_choices:
+        raise EmptyRowGroup(f"{where(np.argmin(lengths))} has no transition")
+
+    key = entry_choice * num_states + entry_target
+    if (key[1:] > key[:-1]).all():  # sorted within each choice, no duplicates
+        targets, merged, in_order = entry_target, entry_prob, entry_prob
+    else:  # the stable sort keeps duplicates in entry order for the merge
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        merged = _run_sums(entry_prob[order], first, np.diff(first, append=len(key)))
+        owner, targets = np.divmod(key[first], num_states)
+        lengths = np.bincount(owner, minlength=num_choices)
+        in_order = merged[np.lexsort((order[first], owner))]  # by first appearance
+    choice_start = np.zeros(num_choices + 1, np.int64)
+    lengths.cumsum(out=choice_start[1:])
+    row_sum = _run_sums(in_order, choice_start[:-1], lengths)
+    off = np.abs(row_sum - 1.0)
+    if off.max(initial=0.0) > ROW_SUM_TOLERANCE:
+        c = int(np.argmax(off > ROW_SUM_TOLERANCE))
+        raise RowSumError(f"{where(c)}: probabilities sum to {float(row_sum[c])!r}")
+    finite = np.isfinite(choice_reward)
+    if np.count_nonzero(finite) < num_choices:
+        c = int(np.argmin(finite))
+        raise ModelError(f"{where(c)}: reward {float(choice_reward[c])!r} is not finite")
 
     label_masks: dict[str, np.ndarray] = {}
-    if labels:
-        for name, states in labels.items():
+    for name, states in (labels or {}).items():
+        arr = np.asarray(list(states) if not isinstance(states, np.ndarray) else states)
+        if arr.dtype == bool:
+            if len(arr) != num_states:
+                raise DanglingTarget(f"label {name!r}: mask length mismatch")
+            mask = arr.copy()
+        else:
             mask = np.zeros(num_states, dtype=bool)
-            arr = np.asarray(list(states) if not isinstance(states, np.ndarray) else states)
-            if arr.dtype == bool:
-                if len(arr) != num_states:
-                    raise DanglingTarget(f"label {name!r}: mask length mismatch")
-                mask |= arr
-            elif arr.size:
-                if arr.min() < 0 or arr.max() >= num_states:
-                    raise DanglingTarget(f"label {name!r}: state index out of range")
-                mask[arr.astype(np.int64)] = True
-            label_masks[name] = _freeze(mask)
+            if arr.size and (arr.min() < 0 or arr.max() >= num_states):
+                raise DanglingTarget(f"label {name!r}: state index out of range")
+            mask[arr.astype(np.int64)] = True
+        label_masks[name] = _freeze(mask)
 
     if choice_labels is not None:
         choice_labels = tuple(choice_labels)
-        if len(choice_labels) != len(choice_start) - 1:
+        if len(choice_labels) != num_choices:
             raise DanglingTarget("choice label count does not match choice count")
         if all(label is None for label in choice_labels):
             choice_labels = None  # unnamed everywhere is the same as unnamed
@@ -320,10 +391,10 @@ def validate_model(
         num_states=num_states,
         initial_state=int(initial_state),
         row_group_start=_freeze(row_group_start),
-        choice_start=_freeze(np.asarray(choice_start, dtype=np.int64)),
-        entry_target=_freeze(np.asarray(targets, dtype=np.int64)),
-        entry_prob=_freeze(np.asarray(probs, dtype=np.float64)),
-        choice_reward=_freeze(np.asarray(choice_rewards, dtype=np.float64)),
+        choice_start=_freeze(choice_start),
+        entry_target=_freeze(targets),
+        entry_prob=_freeze(merged / row_sum.repeat(lengths)),
+        choice_reward=_freeze(choice_reward),
         labels=label_masks,
         choice_labels=choice_labels,
     )
@@ -387,10 +458,7 @@ def submodel(
         key, probs = key[order], probs[order]
         first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         run = np.diff(np.append(first, len(key)))
-        targets, merged = key[first] % num_states, probs[first]
-        for k in range(1, int(run.max())):
-            merged[run > k] += probs[first[run > k] + k]
-        probs = merged
+        targets, probs = key[first] % num_states, _run_sums(probs, first, run)
         choice_start = np.searchsorted(key[first], np.arange(len(pick) + 1) * num_states)
 
     names = model.choice_labels

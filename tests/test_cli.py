@@ -324,6 +324,31 @@ def test_bench_reward_manifest_extras(tmp_path):
     assert rows[1][col("objective")] == "reward"
 
 
+def test_bench_manifest_start_bounds(tmp_path, capsys):
+    model = sr.validate_model(
+        [[{0: 0.5, 1: 0.5}], [{1: 1.0}]],
+        rewards=[[1.0], [0.0]],
+        labels={"init": [0], "goal": [1]},
+    )
+    sr.write_model(model, tmp_path / "r.tra", tmp_path / "r.lab", tmp_path / "r.trew")
+    manifest = tmp_path / "r.manifest"
+    out = tmp_path / "r.csv"
+    # interval iteration needs start bounds for rewards
+    manifest.write_text("toy r.tra r.lab goal reward max trew=r.trew\n")
+    assert run(["bench", manifest, "--out", out, "--methods", "ii"]) == 0
+    assert read_rows(out)[1][-1] == "MissingRewardBounds"
+    manifest.write_text("toy r.tra r.lab goal reward max trew=r.trew lower=0 upper=10\n")
+    assert run(["bench", manifest, "--out", out, "--methods", "ii,svi"]) == 0
+    rows = read_rows(out)
+    assert [row[col("method")] for row in rows[1:]] == ["ii", "svi"]
+    for row in rows[1:]:
+        assert len(row) == len(CSV_HEADER)
+        assert float(row[col("result")]) == pytest.approx(2.0, abs=1e-6)
+    manifest.write_text("toy r.tra r.lab goal reward max trew=r.trew lower=abc\n")
+    assert run(["bench", manifest, "--out", tmp_path / "x.csv"]) == 2
+    assert "abc" in capsys.readouterr().err
+
+
 def test_bench_empty_manifest(tmp_path):
     manifest = tmp_path / "empty.manifest"
     manifest.write_text("# nothing but comments\n")
