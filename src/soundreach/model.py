@@ -495,14 +495,22 @@ def make_absorbing(model: SparseModel, states: np.ndarray) -> SparseModel:
     return submodel(model, owner, pick, model.num_states)
 
 
-def induce_mc(model: SparseModel, scheduler: Scheduler) -> SparseModel:
-    """Restrict an MDP to the single choice per state picked by ``scheduler``."""
-    if len(scheduler) != model.num_states:
+def _checked_choices(model: SparseModel, local) -> np.ndarray:
+    """``local`` (a local choice per state) as int64 indices; a wrong length
+    or a choice its state does not have raises :class:`InvalidChoiceIndex`."""
+    local = np.asarray(local, dtype=np.int64)
+    if len(local) != model.num_states:
         raise InvalidChoiceIndex("scheduler length does not match state count")
-    local, sizes = scheduler.choice_of, model.group_sizes()
+    sizes = model.group_sizes()
     bad = np.flatnonzero((local < 0) | (local >= sizes))
     if len(bad):
         s = bad[0]
         raise InvalidChoiceIndex(f"state {s}: choice {local[s]} not in 0..{sizes[s] - 1}")
+    return local
+
+
+def induce_mc(model: SparseModel, scheduler: Scheduler) -> SparseModel:
+    """Restrict an MDP to the single choice per state picked by ``scheduler``."""
+    local = _checked_choices(model, scheduler.choice_of)
     n = model.num_states
     return submodel(model, np.arange(n), model.row_group_start[:-1] + local, n)

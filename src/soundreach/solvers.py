@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import (
+    QuotientMap,
     check_contracting,
     collapse_end_components,
     reach_partition,
@@ -35,13 +36,14 @@ from .analysis import (
 )
 from .errors import (
     ConfigError,
+    InvalidChoiceIndex,
     IterationLimit,
     MissingRewardBounds,
     NotContracting,
     RewardOnMec,
     TooLargeForOracle,
 )
-from .model import Direction, Partition, SparseModel, make_absorbing
+from .model import Direction, Partition, SparseModel, _checked_choices, make_absorbing
 
 __all__ = [
     "Objective",
@@ -149,7 +151,12 @@ class TraceRow:
 
 @dataclass
 class IterationState:
-    """Snapshot of one iteration, handed to ``on_iteration`` hooks."""
+    """Snapshot of one iteration, handed to ``on_iteration`` hooks.
+
+    ``x`` and ``y`` are over the model's states in model order; ``scheduler``
+    (MDPs only) is the local choice each undecided state took, and 0 at
+    every goal and sure-zero state.
+    """
 
     k: int
     x: np.ndarray
@@ -157,7 +164,7 @@ class IterationState:
     lower: float
     upper: float
     decision: float
-    scheduler: np.ndarray | None  # fresh local choice per state (MDP only)
+    scheduler: np.ndarray | None
 
 
 @dataclass
@@ -191,7 +198,20 @@ def neutral_decision(direction: Direction) -> float:
 
 
 class _Kernels:
-    """Precomputed array views for fast synchronous iteration steps.
+    """The iteration kernels and the one layout of their vectors.
+
+    Vectors are in *live-first* order: the ``m`` undecided states of the
+    partition in ascending order, then every other state in ascending
+    order (``order[i]`` is the state at position ``i``, ``position`` the
+    inverse).  Only the undecided states' choices are kept; their entries
+    stay in model order with targets renumbered into live-first order, so
+    every per-choice sum adds the products the whole model would add, in
+    the same order (goal entries are not folded into a per-choice constant,
+    which would reorder the sums and move results by an ulp).  Positions
+    ``m:`` hold the fixed values of the decided states, as in
+    ``x_start``/``y_start`` (the goal value at goal states, 0 at sure-zero
+    states, ``y = 0`` at both), and no step writes them.  Choice indices
+    are indices into the kept choices.
 
     Choice selection (``select``) and the decision-value fold exist only
     here; ``find_action`` and ``decision_value`` run them for one state.
@@ -204,27 +224,60 @@ class _Kernels:
         objective: Objective,
         direction: Direction,
     ):
-        self.partition = partition
-        self.targets = model.entry_target
-        self.probs = model.entry_prob
-        self.choice_cuts = model.choice_start[:-1]
-        self.group_cuts = model.row_group_start[:-1]
-        self.group_sizes = model.group_sizes()
-        self.choice_state = model.choice_state()
-        self.num_choices = model.num_choices
-        self.choice_arange = np.arange(self.num_choices, dtype=np.int64)
-        self.rewards = model.choice_reward if objective is Objective.REWARD else None
-        self.maybe_idx = partition.maybe_states
+        maybe = partition.maybe
+        n = model.num_states
+        self.order = np.argsort(~maybe, kind="stable")
+        self.m = m = int(np.count_nonzero(maybe))
+        self.live = self.order[:m]
+        self.position = np.empty(n, dtype=np.int64)
+        self.position[self.order] = np.arange(n)
+
         self.is_mc = model.is_mc
+        groups, starts = model.row_group_start, model.choice_start
+        sizes = groups[1:] - groups[:-1]
+        kept = np.repeat(maybe, sizes)
+        lengths = starts[1:] - starts[:-1]
+        entries = np.repeat(kept, lengths)
+        self.targets = self.position[model.entry_target[entries]]
+        self.probs = model.entry_prob[entries]
+        lengths = lengths[kept]
+        self.choice_cuts = lengths.cumsum() - lengths
+        self.num_choices = len(lengths)
+        self.choice_arange = np.arange(self.num_choices, dtype=np.int64)
+        self.rewards = model.choice_reward[kept] if objective is Objective.REWARD else None
+        self.group_sizes = sizes[self.live]
+        self.group_cuts = self.group_sizes.cumsum() - self.group_sizes
+        self.choice_state = np.repeat(np.arange(m), self.group_sizes)
 
         goal_value = 1.0 if objective is Objective.PROBABILITY else 0.0
-        x0 = np.zeros(model.num_states)
-        x0[partition.goal] = goal_value
-        self.x_boundary = x0
-        y0 = np.zeros(model.num_states)
-        y0[partition.maybe] = 1.0
-        self.y_init = y0
+        self.x_start = partition.goal[self.order] * goal_value
+        self.y_start = np.zeros(n)
+        self.y_start[:m] = 1.0
         self.maximize = direction is Direction.MAXIMIZE
+
+    # -- the public edges -----------------------------------------------------
+
+    def to_kernel(self, v) -> np.ndarray:
+        """A model-order vector in live-first order."""
+        return np.asarray(v, dtype=np.float64)[self.order]
+
+    def to_model(self, v: np.ndarray) -> np.ndarray:
+        """A live-first vector in model order (a new array)."""
+        out = np.empty_like(v)
+        out[self.order] = v
+        return out
+
+    def scheduler(self, chosen: np.ndarray) -> np.ndarray:
+        """Local choice per state in model order, 0 at decided states."""
+        local = np.zeros(len(self.order), dtype=np.int64)
+        local[self.live] = chosen - self.group_cuts
+        return local
+
+    def model_step(self, x) -> np.ndarray:
+        """One Bellman step from a model-order vector, in model order."""
+        out = self.to_model(self.x_start)
+        out[self.live] = self.bellman(self.to_kernel(x))
+        return out
 
     # -- per-choice expectations --------------------------------------------
 
@@ -250,7 +303,7 @@ class _Kernels:
         return np.minimum.reduceat(candidates, self.group_cuts)
 
     def argopt(self, choice_vals: np.ndarray, choice_y: np.ndarray) -> np.ndarray:
-        """Per state: global index of the best choice at a finite bound.
+        """Per state: index of the best choice at a finite bound.
 
         Exact score ties go to the tied choice with the smallest
         y-expectation, in both directions; remaining ties go to the lowest
@@ -290,7 +343,7 @@ class _Kernels:
         return self._first_index_where(eligible)
 
     def select(self, cx: np.ndarray, cy: np.ndarray, bound: float) -> np.ndarray:
-        """Per state: global index of the choice the certified step takes."""
+        """Per state: index of the choice the certified step takes."""
         if math.isinf(bound):
             return self.argopt_unbounded(cx, cy)
         return self.argopt(cx + bound * cy, cy)
@@ -298,46 +351,38 @@ class _Kernels:
     # -- full iteration steps -------------------------------------------------
 
     def bellman(self, x: np.ndarray) -> np.ndarray:
-        """One synchronous optimal step (the plain VI / II operator)."""
-        vals = self.state_opt(self.choice_x(x))
-        out = self.x_boundary.copy()
-        out[self.maybe_idx] = vals[self.maybe_idx]
-        return out
+        """One synchronous optimal step (the plain VI / II operator): the
+        new values of the undecided states."""
+        return self.state_opt(self.choice_x(x))
 
     def coupled_step(
         self, x: np.ndarray, y: np.ndarray, bound: float, decision: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """One iteration of the coupled (x, y) scheme.
+    ) -> tuple[np.ndarray, float]:
+        """One iteration of the coupled (x, y) scheme, in place.
 
-        Returns ``(x', y', chosen, decision')`` where ``chosen`` maps every
-        state to the global index of the choice that produced its new values
-        and ``decision'`` folds in this iteration's decision values.
+        Writes the new values of the undecided states into ``x[:m]`` and
+        ``y[:m]`` and returns ``(chosen, decision')``: the choice that
+        produced each undecided state's values, and ``decision`` with this
+        iteration's decision values folded in.
         """
         cx = self.choice_x(x)
         cy = self.choice_y(y)
         if self.is_mc:
-            chosen = self.group_cuts  # a chain's one choice per state
-        else:
-            chosen = self.select(cx, cy, bound)
-            decision = self._fold_decision(cx, cy, chosen, decision)
-
-        x_new = self.x_boundary.copy()
-        y_new = np.zeros(len(x))
-        picked = chosen[self.maybe_idx]
-        x_new[self.maybe_idx] = cx[picked]
-        y_new[self.maybe_idx] = cy[picked]
-        return x_new, y_new, chosen, decision
+            x[: self.m] = cx
+            y[: self.m] = cy
+            return self.group_cuts, decision
+        chosen = self.select(cx, cy, bound)
+        decision = self._fold_decision(cx, cy, chosen, decision)
+        x[: self.m] = cx[chosen]
+        y[: self.m] = cy[chosen]
+        return chosen, decision
 
     def _fold_decision(
         self, cx: np.ndarray, cy: np.ndarray, chosen: np.ndarray, decision: float
     ) -> float:
         chosen_rep = chosen[self.choice_state]
         y_delta = cy[chosen_rep] - cy
-        eligible = (
-            (self.choice_arange != chosen_rep)
-            & (y_delta > 0.0)
-            & self.partition.maybe[self.choice_state]
-        )
+        eligible = (self.choice_arange != chosen_rep) & (y_delta > 0.0)
         if not np.any(eligible):
             return decision
         ratios = (cx[eligible] - cx[chosen_rep[eligible]]) / y_delta[eligible]
@@ -358,8 +403,7 @@ def bellman_step_f(
     direction: Direction = Direction.MAXIMIZE,
 ) -> np.ndarray:
     """One synchronous probability step: goal stays 1, sure-zero stays 0."""
-    kern = _Kernels(model, partition, Objective.PROBABILITY, direction)
-    return kern.bellman(np.asarray(x, dtype=np.float64))
+    return _Kernels(model, partition, Objective.PROBABILITY, direction).model_step(x)
 
 
 def bellman_step_g(
@@ -369,8 +413,7 @@ def bellman_step_g(
     direction: Direction = Direction.MAXIMIZE,
 ) -> np.ndarray:
     """One synchronous reward step: choice reward plus expected successor value."""
-    kern = _Kernels(model, partition, Objective.REWARD, direction)
-    return kern.bellman(np.asarray(x, dtype=np.float64))
+    return _Kernels(model, partition, Objective.REWARD, direction).model_step(x)
 
 
 def bellman_step_h(
@@ -383,39 +426,33 @@ def bellman_step_h(
 
     For chains the single choice per state is used; for MDPs ``scheduler``
     must give the local choice per state (the one picked for the x-update,
-    so both quantities follow the same resolution).
+    so both quantities follow the same resolution); a scheduler of the
+    wrong length or with a choice a state does not have raises
+    :class:`InvalidChoiceIndex`.
     """
-    y = np.asarray(y, dtype=np.float64)
     kern = _Kernels(model, partition, Objective.PROBABILITY, Direction.MAXIMIZE)
-    cy = kern.choice_y(y)
     if model.is_mc:
         chosen = kern.group_cuts
     else:
         if scheduler is None:
             raise ConfigError("an MDP y-step needs the scheduler chosen for the x-step")
-        chosen = model.row_group_start[:-1] + np.asarray(scheduler, dtype=np.int64)
-    out = np.zeros(len(y))
-    out[kern.maybe_idx] = cy[chosen[kern.maybe_idx]]
+        chosen = kern.group_cuts + _checked_choices(model, scheduler)[kern.live]
+    out = np.zeros(model.num_states)
+    out[kern.live] = kern.choice_y(kern.to_kernel(y))[chosen]
     return out
 
 
 def _one_state_kernels(
-    model: SparseModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    state: int,
-    direction: Direction,
-    objective: Objective,
-) -> tuple[_Kernels, np.ndarray, np.ndarray]:
-    """Kernels whose only undecided state is ``state``, and the per-choice
-    expectations of ``x`` and ``y``."""
+    model: SparseModel, state: int, objective: Objective, direction: Direction
+) -> _Kernels:
+    """Kernels whose only undecided state is ``state``: a vector passed
+    through ``to_kernel`` keeps the caller's values at every other state."""
+    if not 0 <= state < model.num_states:
+        raise InvalidChoiceIndex(f"state {state} not in 0..{model.num_states - 1}")
     maybe = np.zeros(model.num_states, dtype=bool)
     maybe[state] = True
     partition = Partition(s0=~maybe, goal=np.zeros_like(maybe), maybe=maybe)
-    kern = _Kernels(model, partition, objective, direction)
-    cx = kern.choice_x(np.asarray(x, dtype=np.float64))
-    cy = kern.choice_y(np.asarray(y, dtype=np.float64))
-    return kern, cx, cy
+    return _Kernels(model, partition, objective, direction)
 
 
 def find_action(
@@ -435,10 +472,12 @@ def find_action(
     with the smallest y-expectation, in both directions: the bound only
     tightens, and that choice keeps the best score as it does, so no tied
     alternative pins the bound through its decision value.  Remaining ties
-    resolve to the lowest choice index.
+    resolve to the lowest choice index.  A ``state`` out of range raises
+    :class:`InvalidChoiceIndex`.
     """
-    kern, cx, cy = _one_state_kernels(model, x, y, state, direction, objective)
-    return int(kern.select(cx, cy, bound)[state] - kern.group_cuts[state])
+    kern = _one_state_kernels(model, state, objective, direction)
+    cx, cy = kern.choice_x(kern.to_kernel(x)), kern.choice_y(kern.to_kernel(y))
+    return int(kern.select(cx, cy, bound)[0])
 
 
 def decision_value(
@@ -458,18 +497,23 @@ def decision_value(
     queries keep the largest crossing point (the upper bound must never drop
     below it); minimizing queries keep the smallest (the lower bound must
     never climb above it).  States without alternatives yield the neutral
-    value.
+    value.  A ``state`` out of range, or a ``chosen`` that is not one of its
+    local choices, raises :class:`InvalidChoiceIndex`.
 
     An alternative tied with ``chosen`` at the current bound crosses it
     exactly there, so its ratio equals the bound and would hold the bound in
     place for good.  The selection rule of ``find_action`` (ties to the
     smallest y-expectation) leaves no tied alternative with a smaller
     y-expectation, so exact ties never contribute.  Near-ties at rounding
-    scale still can; see ROADMAP item 2.
+    scale still can; see ROADMAP direction 1.
     """
-    kern, cx, cy = _one_state_kernels(model, x, y, state, direction, objective)
-    picked = kern.group_cuts.copy()
-    picked[state] += chosen
+    kern = _one_state_kernels(model, state, objective, direction)
+    cx, cy = kern.choice_x(kern.to_kernel(x)), kern.choice_y(kern.to_kernel(y))
+    if not 0 <= chosen < kern.num_choices:
+        raise InvalidChoiceIndex(
+            f"state {state}: choice {chosen} not in 0..{kern.num_choices - 1}"
+        )
+    picked = np.array([chosen], dtype=np.int64)
     return kern._fold_decision(cx, cy, picked, neutral_decision(direction))
 
 
@@ -489,36 +533,33 @@ def update_global_bounds(
     value clamps the bound on the optimizing side so the recorded choices
     remain optimal for the new bound.
     """
-    return _tighten_bounds(
-        x, x, y, partition.maybe_states, lower, upper, decision,
-        direction is Direction.MAXIMIZE,
-    )
+    live = partition.maybe_states
+    x_live = x[live]
+    maximize = direction is Direction.MAXIMIZE
+    return _tighten_bounds(x_live, x_live, y[live], lower, upper, decision, maximize)
 
 
 def _tighten_bounds(
     x_low: np.ndarray,
     x_high: np.ndarray,
     y: np.ndarray,
-    maybe_idx: np.ndarray,
     lower: float,
     upper: float,
     decision: float,
     maximize: bool,
 ) -> tuple[float, float]:
-    """``update_global_bounds`` over two value accumulators sharing ``y``.
+    """``update_global_bounds`` over the undecided states' values: two value
+    accumulators sharing ``y``.
 
     ``lower`` rises to the smallest ratio ``x_low / (1 - y)`` and ``upper``
     falls to the largest ratio ``x_high / (1 - y)``; flat runs pass the same
     vector twice, the topological engine its low and high accumulators.
     """
-    if maybe_idx.size == 0:
+    if y.size == 0 or np.any(y >= 1.0):
         return lower, upper
-    ym = y[maybe_idx]
-    if np.any(ym >= 1.0):
-        return lower, upper
-    denominators = 1.0 - ym
-    ratios_low = x_low[maybe_idx] / denominators
-    ratios_high = ratios_low if x_high is x_low else x_high[maybe_idx] / denominators
+    denominators = 1.0 - y
+    ratios_low = x_low / denominators
+    ratios_high = ratios_low if x_high is x_low else x_high / denominators
     low_candidate = float(ratios_low.min())
     high_candidate = float(ratios_high.max())
     if maximize:
@@ -541,42 +582,8 @@ def _shortcut(
         value = 0.0
     else:
         return None
-    return SolveResult(
-        value=value,
-        lower=value,
-        upper=value,
-        iterations=0,
-        time_ms=0.0,
-        method=config.method,
-        sound=config.method is not Method.VI,
-        trace=[] if config.record_trace else None,
-    )
-
-
-def _interval_result(
-    x: np.ndarray,
-    y: np.ndarray,
-    initial: int,
-    lower: float,
-    upper: float,
-    iterations: int,
-    elapsed_ms: float,
-    config: SolverConfig,
-    trace,
-    sound: bool,
-) -> SolveResult:
-    """The interval ``x + y * [lower, upper]`` at the initial state, and its
-    midpoint; exactly ``x`` once ``y`` is zero there."""
-    y0 = float(y[initial])
-    x0 = float(x[initial])
-    if y0 == 0.0:
-        value = lo = hi = x0
-    elif math.isfinite(lower) and math.isfinite(upper):
-        value = x0 + y0 * (lower + upper) / 2.0
-        lo, hi = x0 + y0 * lower, x0 + y0 * upper
-    else:
-        value, lo, hi = x0, -math.inf, math.inf
-    return _result(value, lo, hi, iterations, elapsed_ms, config, trace, sound)
+    trace = [] if config.record_trace else None
+    return _result(value, value, value, 0, 0.0, config, trace, config.method is not Method.VI)
 
 
 def _result(
@@ -595,6 +602,16 @@ def _result(
     if config.objective is Objective.PROBABILITY:
         value, lo, hi = (min(max(v, 0.0), 1.0) for v in (value, lo, hi))
     return SolveResult(value, lo, hi, iterations, elapsed_ms, config.method, sound, trace)
+
+
+def _finished(result: SolveResult, converged: bool, config: SolverConfig) -> SolveResult:
+    """``result``, or :class:`IterationLimit` carrying it as the partial
+    result of a run that used up ``max_iterations``."""
+    if not converged:
+        raise IterationLimit(
+            f"no convergence within {config.max_iterations} iterations", partial=result
+        )
+    return result
 
 
 def svi_solve(
@@ -624,55 +641,57 @@ def svi_solve(
     started = time.perf_counter()
     kern = _Kernels(model, partition, config.objective, config.direction)
     maximize = config.direction is Direction.MAXIMIZE
-    initial = model.initial_state
+    initial = int(kern.position[model.initial_state])
     lower = config.lower if config.lower is not None else -math.inf
     upper = config.upper if config.upper is not None else math.inf
     decision = neutral_decision(config.direction)
-    x = kern.x_boundary.copy()
-    y = kern.y_init.copy()
+    x = kern.x_start.copy()
+    y = kern.y_start.copy()
+    x_live, y_live = x[: kern.m], y[: kern.m]
     trace: list[TraceRow] | None = [] if config.record_trace else None
     previous = (
-        IterationState(0, x.copy(), y.copy(), lower, upper, decision, None)
+        IterationState(0, kern.to_model(x), kern.to_model(y), lower, upper, decision, None)
         if on_iteration
         else None
     )
     threshold = 2.0 * config.epsilon
     k = 0
-
-    while True:
+    converged = False
+    while not converged and k < config.max_iterations:
         k += 1
-        if k > config.max_iterations:
-            elapsed = (time.perf_counter() - started) * 1000.0
-            raise IterationLimit(
-                f"no convergence within {config.max_iterations} iterations",
-                partial=_interval_result(
-                    x, y, initial, lower, upper, k - 1, elapsed, config, trace, False
-                ),
-            )
         bound = upper if maximize else lower
-        x, y, chosen, decision = kern.coupled_step(x, y, bound, decision)
-        lower, upper = update_global_bounds(
-            x, y, partition, lower, upper, decision, config.direction
+        chosen, decision = kern.coupled_step(x, y, bound, decision)
+        lower, upper = _tighten_bounds(
+            x_live, x_live, y_live, lower, upper, decision, maximize
         )
         y0 = float(y[initial])
         if trace is not None:
             trace.append(TraceRow(k, lower, upper, decision, y0))
         if on_iteration is not None:
             state = IterationState(
-                k, x.copy(), y.copy(), lower, upper, decision,
-                None if kern.is_mc else chosen - kern.group_cuts,
+                k, kern.to_model(x), kern.to_model(y), lower, upper, decision,
+                None if kern.is_mc else kern.scheduler(chosen),
             )
             on_iteration(state, previous)
             previous = state
-        if y0 == 0.0 or (
+        converged = y0 == 0.0 or (
             math.isfinite(lower)
             and math.isfinite(upper)
             and y0 * (upper - lower) < threshold
-        ):
-            break
+        )
 
     elapsed = (time.perf_counter() - started) * 1000.0
-    return _interval_result(x, y, initial, lower, upper, k, elapsed, config, trace, True)
+    # the interval x + y * [lower, upper] at the initial state, exactly x once y is 0
+    x0, y0 = float(x[initial]), float(y[initial])
+    if y0 == 0.0:
+        value = lo = hi = x0
+    elif math.isfinite(lower) and math.isfinite(upper):
+        value = x0 + y0 * (lower + upper) / 2.0
+        lo, hi = x0 + y0 * lower, x0 + y0 * upper
+    else:
+        value, lo, hi = x0, -math.inf, math.inf
+    result = _result(value, lo, hi, k, elapsed, config, trace, converged)
+    return _finished(result, converged, config)
 
 
 def vi_solve(
@@ -689,84 +708,61 @@ def vi_solve(
         return short
 
     started = time.perf_counter()
-    step = _Kernels(model, partition, config.objective, config.direction).bellman
-    x = np.zeros(model.num_states)
-    if config.objective is Objective.PROBABILITY:
-        x[partition.goal] = 1.0
+    kern = _Kernels(model, partition, config.objective, config.direction)
+    initial = int(kern.position[model.initial_state])
+    x = kern.x_start.copy()
+    x_live = x[: kern.m]
     trace: list[TraceRow] | None = [] if config.record_trace else None
     k = 0
-    while True:
+    converged = False
+    while not converged and k < config.max_iterations:
         k += 1
-        if k > config.max_iterations:
-            elapsed = (time.perf_counter() - started) * 1000.0
-            value = float(x[model.initial_state])
-            raise IterationLimit(
-                f"no convergence within {config.max_iterations} iterations",
-                partial=SolveResult(
-                    value, value, value, k - 1, elapsed, Method.VI, False, trace
-                ),
-            )
-        x_new = step(x)
-        difference = float(np.max(np.abs(x_new - x)))
-        x = x_new
+        x_new = kern.bellman(x)
+        difference = float(np.max(np.abs(x_new - x_live)))
+        x_live[:] = x_new
         if trace is not None:
-            current = float(x[model.initial_state])
+            current = float(x[initial])
             trace.append(
                 TraceRow(k, current, current, neutral_decision(config.direction), math.nan)
             )
-        if difference < config.epsilon:
-            break
+        converged = difference < config.epsilon
 
     elapsed = (time.perf_counter() - started) * 1000.0
-    value = float(x[model.initial_state])
-    return SolveResult(
-        value=value,
-        lower=value,
-        upper=value,
-        iterations=k,
-        time_ms=elapsed,
-        method=Method.VI,
-        sound=False,
-        trace=trace,
-    )
+    value = float(x[initial])
+    result = SolveResult(value, value, value, k, elapsed, Method.VI, False, trace)
+    return _finished(result, converged, config)
 
 
-def _ii_start_vectors(
-    model: SparseModel, partition: Partition, config: SolverConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    n = model.num_states
-    goal_value = 1.0 if config.objective is Objective.PROBABILITY else 0.0
-    low = np.zeros(n)
-    high = np.zeros(n)
-    low[partition.goal] = goal_value
-    high[partition.goal] = goal_value
+def _check_bound_vectors(config: SolverConfig, num_states: int) -> None:
+    for vector in (config.lower_vector, config.upper_vector):
+        if vector is not None and len(vector) != num_states:
+            raise ConfigError(
+                f"initial bound vectors need one entry per state ({num_states}), "
+                f"got {len(vector)}"
+            )
 
-    if config.lower_vector is not None:
-        low[partition.maybe] = np.asarray(config.lower_vector, dtype=np.float64)[
-            partition.maybe
-        ]
-    elif config.lower is not None:
-        low[partition.maybe] = config.lower
-    elif config.objective is Objective.PROBABILITY:
-        low[partition.maybe] = 0.0
-    else:
-        raise MissingRewardBounds(
-            "interval iteration on rewards needs initial lower bounds"
-        )
 
-    if config.upper_vector is not None:
-        high[partition.maybe] = np.asarray(config.upper_vector, dtype=np.float64)[
-            partition.maybe
-        ]
-    elif config.upper is not None:
-        high[partition.maybe] = config.upper
-    elif config.objective is Objective.PROBABILITY:
-        high[partition.maybe] = 1.0
-    else:
-        raise MissingRewardBounds(
-            "interval iteration on rewards needs initial upper bounds"
-        )
-    return low, high
+def _ii_start_vectors(kern: _Kernels, config: SolverConfig) -> list[np.ndarray]:
+    """Interval iteration's lower and upper start vectors, in kernel order."""
+    _check_bound_vectors(config, len(kern.order))
+    starts = []
+    for side, vector, scalar, default in (
+        ("lower", config.lower_vector, config.lower, 0.0),
+        ("upper", config.upper_vector, config.upper, 1.0),
+    ):
+        start = kern.x_start.copy()
+        if vector is not None:
+            start[: kern.m] = np.asarray(vector, dtype=np.float64)[kern.live]
+        elif scalar is not None:
+            start[: kern.m] = scalar
+        elif config.objective is Objective.PROBABILITY:
+            start[: kern.m] = default
+        else:
+            raise MissingRewardBounds(
+                f"interval iteration on rewards needs initial {side} bounds"
+            )
+        starts.append(start)
+    return starts
 
 
 def ii_solve(
@@ -785,53 +781,30 @@ def ii_solve(
         return short
 
     started = time.perf_counter()
-    low, high = _ii_start_vectors(model, partition, config)
-    step = _Kernels(model, partition, config.objective, config.direction).bellman
-    initial = model.initial_state
+    kern = _Kernels(model, partition, config.objective, config.direction)
+    low, high = _ii_start_vectors(kern, config)
+    low_live, high_live = low[: kern.m], high[: kern.m]
+    initial = int(kern.position[model.initial_state])
     trace: list[TraceRow] | None = [] if config.record_trace else None
     threshold = 2.0 * config.epsilon
     neutral = neutral_decision(config.direction)
     k = 0
-    while True:
+    converged = False
+    while not converged and k < config.max_iterations:
         k += 1
-        if k > config.max_iterations:
-            elapsed = (time.perf_counter() - started) * 1000.0
-            mid = (float(low[initial]) + float(high[initial])) / 2.0
-            raise IterationLimit(
-                f"no convergence within {config.max_iterations} iterations",
-                partial=SolveResult(
-                    mid,
-                    float(low[initial]),
-                    float(high[initial]),
-                    k - 1,
-                    elapsed,
-                    Method.II,
-                    False,
-                    trace,
-                ),
-            )
-        low = step(low)
-        high = step(high)
+        low_live[:] = kern.bellman(low)
+        high_live[:] = kern.bellman(high)
         if trace is not None:
             trace.append(
                 TraceRow(k, float(low[initial]), float(high[initial]), neutral, math.nan)
             )
-        if float(np.max(np.abs(high - low))) < threshold:
-            break
+        converged = float(np.max(np.abs(high_live - low_live))) < threshold
 
     elapsed = (time.perf_counter() - started) * 1000.0
     lo = float(low[initial])
     hi = float(high[initial])
-    return SolveResult(
-        value=(lo + hi) / 2.0,
-        lower=lo,
-        upper=hi,
-        iterations=k,
-        time_ms=elapsed,
-        method=Method.II,
-        sound=True,
-        trace=trace,
-    )
+    result = SolveResult((lo + hi) / 2.0, lo, hi, k, elapsed, Method.II, converged, trace)
+    return _finished(result, converged, config)
 
 
 # ---------------------------------------------------------------------------
@@ -949,6 +922,22 @@ def oracle_solve(
 # ---------------------------------------------------------------------------
 
 
+def _quotient_bound_vectors(config: SolverConfig, quotient: QuotientMap) -> SolverConfig:
+    """The start bound vectors over the quotient's states: the loosest bound
+    among each quotient state's members."""
+    mapped = {}
+    for name, reduce, neutral in (
+        ("lower_vector", np.minimum, math.inf),
+        ("upper_vector", np.maximum, -math.inf),
+    ):
+        vector = getattr(config, name)
+        if vector is not None:
+            out = np.full(quotient.model.num_states, neutral)
+            reduce.at(out, quotient.state_map, np.asarray(vector, dtype=np.float64))
+            mapped[name] = out
+    return replace(config, **mapped)
+
+
 def solve(
     model: SparseModel,
     goal,
@@ -966,10 +955,13 @@ def solve(
     end components outside the goal.  svi probability queries start at
     ``[0, 1]``: a missing bound becomes 0 or 1, a given one is clipped into
     ``[0, 1]``, and a NaN bound, a lower bound above 1 or an upper bound
-    below 0 raises ``ConfigError``.  The reported time covers this
-    preprocessing plus the iteration itself.
+    below 0 raises ``ConfigError``.  Per-state start bound vectors must have
+    one entry per state of ``model``; a collapsed end component starts at
+    the smallest lower and the largest upper bound of its members.  The
+    reported time covers this preprocessing plus the iteration itself.
     """
     config = config.validated()
+    _check_bound_vectors(config, model.num_states)
     if config.method is Method.SVI and config.objective is Objective.PROBABILITY:
         config = replace(
             config,
@@ -991,6 +983,7 @@ def solve(
         if config.direction is Direction.MAXIMIZE:
             quotient = collapse_end_components(prepared, partition)
             prepared, partition = quotient.model, quotient.partition
+            config = _quotient_bound_vectors(config, quotient)
 
     if config.method is Method.SVI:
         result = svi_solve(prepared, partition, config, on_iteration)

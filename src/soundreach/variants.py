@@ -115,7 +115,7 @@ class _ComponentSystem:
         self.partition = Partition(
             s0=np.zeros(m + 1, dtype=bool), goal=goal, maybe=~goal
         )
-        self.follow_reward = np.append(follow_reward, 0.0)
+        self.follow_reward = follow_reward
 
 
 def _solve_component(
@@ -131,14 +131,14 @@ def _solve_component(
     which steers choice selection and the decision value; the following
     accumulator then takes one step under the same choices.
     """
-    model = system.model
     maximize = config.direction is Direction.MAXIMIZE
-    kern = _Kernels(model, system.partition, Objective.REWARD, config.direction)
-    inner = kern.maybe_idx
-
-    x_drive = np.zeros(model.num_states)
-    x_follow = np.zeros(model.num_states)
-    y = kern.y_init.copy()
+    kern = _Kernels(system.model, system.partition, Objective.REWARD, config.direction)
+    m = kern.m
+    x_drive = kern.x_start.copy()
+    x_follow = kern.x_start.copy()
+    y = kern.y_start.copy()
+    x_low, x_high = (x_follow, x_drive) if maximize else (x_drive, x_follow)
+    low_live, high_live, y_live = x_low[:m], x_high[:m], y[:m]
     lower = -math.inf
     upper = math.inf
     decision = neutral_decision(config.direction)
@@ -153,21 +153,18 @@ def _solve_component(
                 f"{iteration_budget} iterations"
             )
         bound = upper if maximize else lower
-        x_drive, y, chosen, decision = kern.coupled_step(x_drive, y, bound, decision)
-        cx = np.add.reduceat(x_follow[kern.targets] * kern.probs, kern.choice_cuts)
-        x_follow = np.zeros(model.num_states)
-        x_follow[inner] = (cx + system.follow_reward)[chosen[inner]]
-        x_low, x_high = (x_follow, x_drive) if maximize else (x_drive, x_follow)
+        chosen, decision = kern.coupled_step(x_drive, y, bound, decision)
+        # choice_y adds no choice reward: the follower's exit rewards go in here
+        x_follow[:m] = (kern.choice_y(x_follow) + system.follow_reward)[chosen]
         lower, upper = _tighten_bounds(
-            x_low, x_high, y, inner, lower, upper, decision, maximize
+            low_live, high_live, y_live, lower, upper, decision, maximize
         )
 
-        ym = y[inner]
-        if float(ym.max()) == 0.0:
-            return x_low[inner].copy(), x_high[inner].copy(), k
+        if float(y_live.max()) == 0.0:
+            return low_live, high_live, k
         if math.isfinite(lower) and math.isfinite(upper):
-            member_low = x_low[inner] + ym * lower
-            member_high = x_high[inner] + ym * upper
+            member_low = low_live + y_live * lower
+            member_high = high_live + y_live * upper
             if float(np.max(member_high - member_low)) < threshold:
                 return member_low, member_high, k
 
@@ -195,13 +192,9 @@ def topological_solve(
         return short
 
     started = time.perf_counter()
-    n = model.num_states
-    low = np.zeros(n)
-    high = np.zeros(n)
-    if config.objective is Objective.PROBABILITY:
-        low[partition.goal] = 1.0
-        high[partition.goal] = 1.0
-    # s0 states keep exactly 0 in both vectors.
+    goal_value = 1.0 if config.objective is Objective.PROBABILITY else 0.0
+    low = partition.goal * goal_value  # s0 states keep exactly 0
+    high = low.copy()
 
     trace: list[TraceRow] | None = [] if config.record_trace else None
     total_iterations = 0

@@ -81,6 +81,59 @@ def test_bellman_h_needs_scheduler_on_mdp(branching_mdp):
     np.testing.assert_allclose(picked, [0.8, 1.0, 0.6, 0.0, 0.0])
 
 
+def test_bellman_steps_with_nothing_undecided():
+    # state 0 is a sure loser, state 1 the goal: the steps only pin values
+    model = sr.validate_model(
+        [[{0: 1.0}], [{1: 1.0}]],
+        rewards=[[3.0], [0.0]],
+        labels={"init": [0], "goal": [1]},
+    )
+    model, part = prepared(model)
+    assert not part.maybe.any()
+    x = np.array([0.3, 0.7])
+    np.testing.assert_array_equal(sr.bellman_step_f(model, part, x), [0.0, 1.0])
+    np.testing.assert_array_equal(sr.bellman_step_g(model, part, x), [0.0, 0.0])
+    np.testing.assert_array_equal(sr.bellman_step_h(model, part, x), [0.0, 0.0])
+
+
+def out_of_range_mdp():
+    model = sr.validate_model(
+        [[{1: 0.5, 2: 0.5}, {0: 0.5, 1: 0.5}], [{0: 0.9, 2: 0.1}], [{2: 1.0}]],
+        labels={"init": [0], "goal": [2]},
+    )
+    return prepared(model)
+
+
+def test_bellman_h_rejects_choices_a_state_lacks():
+    model, part = out_of_range_mdp()
+    y = np.array([1.0, 1.0, 0.0])
+    np.testing.assert_array_equal(
+        sr.bellman_step_h(model, part, y, scheduler=[1, 0, 0]), [1.0, 0.9, 0.0]
+    )
+    # state 0 has two choices, so choice 2 would read state 1's row
+    for scheduler in ([2, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0]):
+        with pytest.raises(sr.InvalidChoiceIndex):
+            sr.bellman_step_h(model, part, y, scheduler=scheduler)
+
+
+def test_one_state_views_reject_indices_out_of_range():
+    model, part = out_of_range_mdp()
+    x = np.array([0.0, 0.0, 1.0])
+    y = np.array([1.0, 1.0, 0.0])
+    # chosen (0, 1) against (0.5, 0.5): the lines cross at bound 1
+    assert sr.decision_value(model, x, y, 0, 1) == 1.0
+    for chosen in (2, -1):
+        with pytest.raises(sr.InvalidChoiceIndex):
+            sr.decision_value(model, x, y, 0, chosen)
+    with pytest.raises(sr.InvalidChoiceIndex):
+        sr.decision_value(model, x, y, 1, 1)
+    for state in (3, -1):
+        with pytest.raises(sr.InvalidChoiceIndex):
+            sr.find_action(model, x, y, state, 1.0)
+        with pytest.raises(sr.InvalidChoiceIndex):
+            sr.decision_value(model, x, y, state, 0)
+
+
 # ---------------------------------------------------------------------------
 # action selection and the decision value
 # ---------------------------------------------------------------------------
@@ -133,14 +186,15 @@ def test_score_ties_go_to_smaller_undecided_mass(case):
     )
     model, part = prepared(model, direction)
     kern = _Kernels(model, part, sr.Objective.PROBABILITY, direction)
-    x, y = kern.x_boundary, kern.y_init
-    cx, cy = kern.choice_x(x), kern.choice_y(y)
+    assert kern.live[0] == 0  # state 0's choices are the kernel's first three
+    cx, cy = kern.choice_x(kern.x_start), kern.choice_y(kern.y_start)
     scores = (cx + bound * cy)[:3]
     assert scores[0] == scores[1] and cy[0] > cy[1]  # an exact tie
 
+    x, y = kern.to_model(kern.x_start), kern.to_model(kern.y_start)
     picked = sr.find_action(model, x, y, 0, bound, direction)
-    _, _, chosen, decision = kern.coupled_step(
-        x, y, bound, neutral_decision(direction)
+    chosen, decision = kern.coupled_step(
+        kern.x_start.copy(), kern.y_start.copy(), bound, neutral_decision(direction)
     )
     assert picked == chosen[0] == 1
     # the tied choice adds no crossing point, so the decision value comes
@@ -427,6 +481,39 @@ def test_svi_hook_sees_every_iteration(slow_chain):
     assert [p for _, p in seen] == [0, 1, 2]
 
 
+def test_svi_hook_snapshots_pin_the_decided_states():
+    # On every sweep a snapshot holds the goal value at goal states, 0 at
+    # sure-zero states, y = 0 at both and local choice 0 at both (MDPs).
+    rng = np.random.default_rng(11)
+    decided_choices = snapshots = 0
+    for _ in range(80):
+        model, goal = random_model(rng, force_mdp=True)
+        for objective in (sr.Objective.PROBABILITY, sr.Objective.REWARD):
+            for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
+                model_d, part = _prepare(model, goal, objective, direction)
+                goal_value = 1.0 if objective is sr.Objective.PROBABILITY else 0.0
+                decided = ~part.maybe
+                seen = []
+                config = sr.SolverConfig(
+                    direction=direction, objective=objective, epsilon=1e-8,
+                    lower=-100.0, upper=100.0, max_iterations=200,
+                )
+                try:
+                    sr.svi_solve(model_d, part, config, lambda s, p: seen.append(s))
+                except sr.IterationLimit:
+                    pass
+                snapshots += len(seen)
+                if seen:
+                    decided_choices += int(model_d.group_sizes()[decided].sum())
+                for state in seen:
+                    assert np.all(state.x[part.goal] == goal_value)
+                    assert np.all(state.x[part.s0] == 0.0)
+                    assert np.all(state.y[decided] == 0.0)
+                    if state.scheduler is not None:
+                        assert np.all(state.scheduler[decided] == 0)
+    assert snapshots > 1000 and decided_choices > 100
+
+
 def test_svi_trace_absent_by_default(slow_chain):
     model, part = prepared(slow_chain)
     res = sr.svi_solve(model, part, sr.SolverConfig(epsilon=1e-6))
@@ -488,6 +575,35 @@ def test_ii_accepts_vector_bounds(slow_chain):
         ),
     )
     assert res.value == pytest.approx(0.75, abs=1e-6)
+
+
+def test_bound_vectors_follow_the_end_component_quotient():
+    # 0 and 1 form an end component that collapses into one state; the
+    # caller's vectors are over the four original states
+    model = sr.validate_model(
+        [[{1: 1.0}], [{0: 1.0}, {2: 0.5, 3: 0.5}], [{2: 1.0}], [{3: 1.0}]],
+        labels={"init": [0], "goal": [2]},
+    )
+    for lower_vector, upper_vector in (
+        (np.zeros(4), np.ones(4)),
+        (np.array([0.4, 0.1, 1.0, 0.0]), np.array([0.6, 0.9, 1.0, 0.0])),
+    ):
+        res = sr.solve(
+            model, "goal",
+            sr.SolverConfig(
+                method=sr.Method.II, epsilon=1e-8,
+                lower_vector=lower_vector, upper_vector=upper_vector,
+            ),
+        )
+        assert res.lower <= 0.5 <= res.upper
+        assert res.upper - res.lower < 2e-8
+    for name in ("lower_vector", "upper_vector"):
+        config = sr.SolverConfig(method=sr.Method.II, **{name: np.zeros(3)})
+        with pytest.raises(sr.ConfigError):
+            sr.solve(model, "goal", config)
+        absorbed, part = prepared(model)
+        with pytest.raises(sr.ConfigError):
+            sr.ii_solve(absorbed, part, config)
 
 
 # ---------------------------------------------------------------------------
