@@ -160,12 +160,12 @@ def _solve_component(
             low_live, high_live, y_live, lower, upper, decision, maximize
         )
 
-        if float(y_live.max()) == 0.0:
+        if y_live.max() == 0.0:
             return low_live, high_live, k
         if math.isfinite(lower) and math.isfinite(upper):
             member_low = low_live + y_live * lower
             member_high = high_live + y_live * upper
-            if float(np.max(member_high - member_low)) < threshold:
+            if (member_high - member_low).max() < threshold:
                 return member_low, member_high, k
 
 

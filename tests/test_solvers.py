@@ -335,6 +335,176 @@ def test_find_action_and_decision_value_follow_the_loop():
 
 
 # ---------------------------------------------------------------------------
+# column selection against per-state reductions
+# ---------------------------------------------------------------------------
+
+# References: the per-state ``reduceat`` selection, state optimum and
+# decision-value fold the column loops replaced.  Picks, optima (signed
+# zeros included) and decision values must come out identical.
+
+
+def reference_argopt(kern, choice_vals, choice_y):
+    cuts, sizes = kern.group_cuts, kern.group_sizes
+    arange = np.arange(kern.num_choices)
+    reduce = np.maximum if kern.maximize else np.minimum
+    best = reduce.reduceat(choice_vals, cuts)
+    tied = choice_vals == np.repeat(best, sizes)
+    if np.count_nonzero(tied) > len(cuts):
+        masked = np.where(tied, choice_y, np.inf)
+        y_best = np.minimum.reduceat(masked, cuts)
+        tied &= masked == np.repeat(y_best, sizes)
+    return np.minimum.reduceat(np.where(tied, arange, kern.num_choices), cuts)
+
+
+def reference_argopt_unbounded(kern, choice_x, choice_y):
+    cuts, sizes = kern.group_cuts, kern.group_sizes
+    arange = np.arange(kern.num_choices)
+    y_best = np.maximum.reduceat(choice_y, cuts)
+    y_tied = choice_y == np.repeat(y_best, sizes)
+    if kern.maximize:
+        masked = np.where(y_tied, choice_x, -np.inf)
+        x_best = np.maximum.reduceat(masked, cuts)
+    else:
+        masked = np.where(y_tied, choice_x, np.inf)
+        x_best = np.minimum.reduceat(masked, cuts)
+    eligible = y_tied & (masked == np.repeat(x_best, sizes))
+    return np.minimum.reduceat(np.where(eligible, arange, kern.num_choices), cuts)
+
+
+def reference_state_opt(kern, choice_vals):
+    reduce = np.maximum if kern.maximize else np.minimum
+    return reduce.reduceat(choice_vals, kern.group_cuts)
+
+
+def reference_fold(kern, cx, cy, chosen, decision):
+    chosen_rep = chosen[np.repeat(np.arange(kern.m), kern.group_sizes)]
+    y_delta = cy[chosen_rep] - cy
+    eligible = (np.arange(kern.num_choices) != chosen_rep) & (y_delta > 0.0)
+    if not np.any(eligible):
+        return decision
+    ratios = (cx[eligible] - cx[chosen_rep[eligible]]) / y_delta[eligible]
+    if kern.maximize:
+        return max(decision, float(ratios.max()))
+    return min(decision, float(ratios.min()))
+
+
+def assert_same_floats(actual, expected):
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def sized_mdp(rng, sizes):
+    """An MDP with ``sizes[s]`` choices at state ``s``, each to 1..3 targets
+    with weights from a coarse grid, so that expectations tie exactly."""
+    n = len(sizes)
+    choices = []
+    for size in sizes:
+        group = []
+        for _ in range(int(size)):
+            targets = rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)), replace=False)
+            weights = rng.integers(1, 3, size=len(targets)).astype(float)
+            group.append({int(t): w / weights.sum() for t, w in zip(targets, weights)})
+        choices.append(group)
+    rewards = [rng.choice([-0.0, 0.0, 0.5, 1.0], size=int(k)).tolist() for k in sizes]
+    return sr.validate_model(choices, rewards=rewards, labels={"init": [0]})
+
+
+def random_partition(rng, n):
+    maybe = rng.random(n) < 0.8
+    goal = ~maybe & (rng.random(n) < 0.5)
+    return sr.Partition(s0=~maybe & ~goal, goal=goal, maybe=maybe)
+
+
+def choice_vectors(rng, kern):
+    """Pairs ``(cx, cy)``: the kernel's own expectations of coarse vectors,
+    and raw draws with signed zeros and many exact ties."""
+    n = len(kern.order)
+    x = rng.choice([0.0, 0.5, 1.0], size=n)
+    y = rng.choice([0.0, 0.5, 1.0], size=n)
+    yield kern.choice_x(x), kern.choice_y(y)
+    for _ in range(3):
+        cx = rng.choice([-0.0, 0.0, 0.25, 1.0], size=kern.num_choices)
+        yield cx, rng.choice([-0.0, 0.0, 0.5, 1.0], size=kern.num_choices)
+
+
+def assert_kernels_match_references(kern, rng):
+    neutral = -INF if kern.maximize else INF
+    for cx, cy in choice_vectors(rng, kern):
+        assert_same_floats(kern.state_opt(cx), reference_state_opt(kern, cx))
+        for bound in (-1.0, 0.0, 0.5, 1.0, INF, -INF):
+            chosen = kern.select(cx, cy, bound)
+            if math.isinf(bound):
+                expected = reference_argopt_unbounded(kern, cx, cy)
+            else:
+                expected = reference_argopt(kern, cx + bound * cy, cy)
+            np.testing.assert_array_equal(chosen, expected)
+            picks = (kern.group_cuts, chosen, kern.group_cuts + kern.group_sizes - 1)
+            for picked in picks:
+                for decision in (neutral, 0.25):
+                    assert kern._fold_decision(cx, cy, picked, decision) == reference_fold(
+                        kern, cx, cy, picked, decision
+                    )
+
+
+def test_column_selection_matches_per_state_reductions():
+    rng = np.random.default_rng(606)
+    states_with_columns = 0
+    for _ in range(60):
+        sizes = rng.integers(1, 7, size=int(rng.integers(1, 13)))
+        model = sized_mdp(rng, sizes)
+        partition = random_partition(rng, len(sizes))
+        for objective in (sr.Objective.PROBABILITY, sr.Objective.REWARD):
+            for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
+                kern = _Kernels(model, partition, objective, direction)
+                states_with_columns += sum(len(states) for states, _ in kern.columns)
+                assert_kernels_match_references(kern, rng)
+    assert states_with_columns > 1000
+
+
+def test_column_selection_on_uneven_degrees():
+    rng = np.random.default_rng(707)
+    # one state with 64 choices among states with 1 or 2
+    sizes = np.append(64, rng.integers(1, 3, size=9))
+    model = sized_mdp(rng, sizes)
+    everything = np.ones(len(sizes), dtype=bool)
+    nothing = np.zeros_like(everything)
+    partition = sr.Partition(s0=nothing, goal=nothing, maybe=everything)
+    for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
+        kern = _Kernels(model, partition, sr.Objective.REWARD, direction)
+        assert len(kern.columns) == 63
+        assert [len(states) for states, _ in kern.columns[1:]] == [1] * 62
+        assert_kernels_match_references(kern, rng)
+    # chains have no columns, and neither has a partition with no undecided state
+    chain = sized_mdp(rng, np.ones(6, dtype=int))
+    for model, partition in (
+        (chain, random_partition(rng, 6)),
+        (model, sr.Partition(s0=everything, goal=nothing, maybe=nothing)),
+    ):
+        kern = _Kernels(model, partition, sr.Objective.PROBABILITY, sr.Direction.MAXIMIZE)
+        assert kern.columns == []
+        assert_kernels_match_references(kern, rng)
+
+
+def test_many_choices_certify_against_the_oracle():
+    rng = np.random.default_rng(808)
+    sizes = [64, 2, 1, 2, 1]
+    choices = [
+        [
+            {int(t): 1.0 / k for t in rng.choice(5, size=k, replace=False)}
+            for k in rng.integers(1, 4, size=size)
+        ]
+        for size in sizes
+    ]
+    model = sr.validate_model(choices, labels={"init": [0], "goal": [4]})
+    goal = model.label_mask("goal")
+    for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
+        model_d, part = prepared(model, direction)
+        exact = sr.oracle_solve(model_d, part, direction=direction)[0]
+        result = sr.solve(model, goal, sr.SolverConfig(direction=direction, epsilon=1e-9))
+        assert result.lower - 1e-12 <= exact <= result.upper + 1e-12
+
+
+# ---------------------------------------------------------------------------
 # certified global bounds
 # ---------------------------------------------------------------------------
 
