@@ -57,7 +57,7 @@ CSV_HEADER = [
     "time_ms",
 ]
 
-_VARIANTS = {"plain": False, "topological": True, "topo": True}
+_VARIANTS = {"plain": False, "topological": True}
 
 
 def _fmt(value: float) -> str:

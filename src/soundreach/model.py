@@ -8,8 +8,8 @@ exactly once, bit for bit, in the one validation core ``_build_model``.  It
 takes flat entry arrays in input order, which ``validate_model`` reads from
 nested lists and ``explicit.load_model`` from files.  ``submodel`` builds
 every derived model (``make_absorbing``, ``induce_mc``, end-component
-quotients, topological component subsystems) by copying rows that are
-already validated.
+quotients, the topological solve's relabelled model) by copying rows that
+are already validated.
 """
 
 from __future__ import annotations

@@ -250,19 +250,47 @@ class _Kernels:
         self.choice_cuts = lengths.cumsum() - lengths
         self.num_choices = len(lengths)
         self.rewards = model.choice_reward[kept] if objective is Objective.REWARD else None
-        self.group_sizes = sizes = sizes[self.live]
+        self._index_groups(sizes[self.live])
+
+        goal_value = 1.0 if objective is Objective.PROBABILITY else 0.0
+        self.x_start = partition.goal[self.order] * goal_value
+        self.y_start = maybe[self.order] * 1.0
+        self.maximize = direction is Direction.MAXIMIZE
+
+    def _index_groups(self, sizes: np.ndarray) -> None:
+        """The per-state choice indexing for states with ``sizes`` choices:
+        group cuts, choice columns and each choice's state."""
+        self.group_sizes = sizes
         self.group_cuts = sizes.cumsum() - sizes
         self.columns, j, states = [], 1, (sizes > 1).nonzero()[0]
         while states.size:
             self.columns.append((states, self.group_cuts[states] + j))
             j += 1
             states = states[sizes[states] > j]
-        self.choice_state = np.repeat(np.arange(m), sizes)
+        self.choice_state = np.repeat(np.arange(len(sizes)), sizes)
 
-        goal_value = 1.0 if objective is Objective.PROBABILITY else 0.0
-        self.x_start = partition.goal[self.order] * goal_value
-        self.y_start = maybe[self.order] * 1.0
-        self.maximize = direction is Direction.MAXIMIZE
+    def part(self, lo: int, hi: int) -> "_Kernels":
+        """The kernels of the undecided states at positions ``lo:hi`` alone.
+
+        They step the views ``v[lo:]`` of this kernel's vectors: targets are
+        shifted by ``-lo``, so no kept choice of those states may target a
+        position below ``lo``.  A part has no layout of its own (no
+        ``order`` or start vectors); its choice indices count from its first
+        choice.
+        """
+        c0 = int(self.group_cuts[lo])
+        c1 = int(self.group_cuts[hi]) if hi < self.m else self.num_choices
+        e0 = int(self.choice_cuts[c0])
+        e1 = int(self.choice_cuts[c1]) if c1 < self.num_choices else len(self.targets)
+        part = object.__new__(_Kernels)
+        part.m, part.is_mc, part.maximize = hi - lo, self.is_mc, self.maximize
+        part.targets = self.targets[e0:e1] - lo
+        part.probs = self.probs[e0:e1]
+        part.choice_cuts = self.choice_cuts[c0:c1] - e0
+        part.num_choices = c1 - c0
+        part.rewards = None if self.rewards is None else self.rewards[c0:c1]
+        part._index_groups(self.group_sizes[lo:hi])
+        return part
 
     # -- the public edges -----------------------------------------------------
 
@@ -620,13 +648,17 @@ def svi_solve(
     ``y[init]`` hits zero, in which case ``x[init]`` is the exact answer —
     and returns the midpoint of the certified interval at the initial state.
     A bound the configuration leaves out starts at infinity, as in the
-    paper; a probability result is clipped into ``[0, 1]``.
+    paper; a probability result is clipped into ``[0, 1]``.  With
+    ``config.topological`` it runs ``variants.topological_solve``, which
+    takes no ``on_iteration`` hook: passing one raises ``ConfigError``.
     """
     config = replace(config, method=Method.SVI).validated()
     if config.topological:
+        if on_iteration is not None:
+            raise ConfigError("the topological variant takes no on_iteration hook")
         from .variants import topological_solve
 
-        return topological_solve(model, partition, config, on_iteration)
+        return topological_solve(model, partition, config)
 
     short = _shortcut(model, partition, config)
     if short is not None:

@@ -1,5 +1,7 @@
 """The component-by-component solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,136 @@ def test_topological_matches_oracle_randomized():
         want = oracle[quotient.state_map[model.initial_state]]
         assert res.value == pytest.approx(want, abs=1e-8)
         assert res.lower - 1e-12 <= want <= res.upper + 1e-12
+
+
+def acyclic_mdp(rng, states=8):
+    """``states`` states with 2 choices each; every choice moves to the goal
+    (state ``states``) and to 1-2 later states or the sink (``states + 1``),
+    so every state but the sink is undecided in both directions."""
+    choices = []
+    for s in range(states):
+        group = []
+        for _ in range(2):
+            later = rng.choice(np.append(np.arange(s + 1, states), states + 1), size=2)
+            targets = sorted({states, *later.tolist()})
+            weights = rng.random(len(targets)) + 0.1
+            group.append(dict(zip(targets, (weights / weights.sum()).tolist())))
+        choices.append(group)
+    choices += [[{states: 1.0}], [{states + 1: 1.0}]]
+    return sr.validate_model(choices, labels={"init": [0], "goal": [states]})
+
+
+@pytest.mark.parametrize("direction", [sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE])
+def test_topological_acyclic_mdp_takes_one_sweep_per_state(direction):
+    rng = np.random.default_rng(31)
+    epsilon = 1e-10
+    for _ in range(10):
+        model, part = prepared(acyclic_mdp(rng), direction)
+        res = sr.topological_solve(
+            model, part,
+            sr.SolverConfig(direction=direction, epsilon=epsilon, topological=True),
+        )
+        want = sr.oracle_solve(model, part, direction=direction)[model.initial_state]
+        assert np.count_nonzero(part.maybe) == 8
+        assert res.iterations == 8
+        assert res.upper - res.lower < 2 * epsilon
+        assert res.lower - 1e-12 <= want <= res.upper + 1e-12
+
+
+def cycle_chain(cycles=6, size=3, seed=7):
+    """``cycles`` cycles of ``size`` states, 2 choices each: each choice moves
+    on along its cycle with probability 0.85-0.95 and otherwise leaves, mostly
+    to the next cycle's first state (the goal after the last cycle), the
+    rest to a sink."""
+    rng = np.random.default_rng(seed)
+    n = cycles * size
+    goal, sink = n, n + 1
+    choices = []
+    for c in range(cycles):
+        exit_state = (c + 1) * size if c + 1 < cycles else goal
+        for i in range(size):
+            group = []
+            for _ in range(2):
+                stay = rng.uniform(0.85, 0.95)
+                leave = 1.0 - stay
+                to_exit = leave * rng.uniform(0.9, 1.0)
+                group.append(
+                    {c * size + (i + 1) % size: stay, exit_state: to_exit, sink: leave - to_exit}
+                )
+            choices.append(group)
+    choices += [[{goal: 1.0}], [{sink: 1.0}]]
+    return sr.validate_model(choices, labels={"init": [0], "goal": [goal]})
+
+
+@pytest.mark.parametrize(
+    "direction,sweeps", [(sr.Direction.MAXIMIZE, 804), (sr.Direction.MINIMIZE, 728)]
+)
+def test_topological_cycle_chain_sweeps(direction, sweeps):
+    # the summed sweep counts pin the per-component stopping rule
+    epsilon = 1e-6
+    model = cycle_chain()
+    topo = sr.solve(
+        model, "goal", sr.SolverConfig(direction=direction, epsilon=epsilon, topological=True)
+    )
+    flat = sr.solve(model, "goal", sr.SolverConfig(direction=direction, epsilon=epsilon))
+    assert topo.iterations == sweeps
+    # each value is within epsilon of the true one, so of each other within 2 * epsilon
+    assert abs(topo.value - flat.value) < 2 * epsilon
+    assert max(topo.lower, flat.lower) <= min(topo.upper, flat.upper)
+
+
+def test_topological_refuses_a_hook(two_route_mdp):
+    model, part = prepared(two_route_mdp)
+    calls = []
+
+    def hook(state, previous):
+        calls.append(state.k)
+
+    sr.svi_solve(model, part, sr.SolverConfig(), hook)
+    assert len(calls) == 16
+    calls.clear()
+    config = sr.SolverConfig(topological=True)
+    with pytest.raises(sr.ConfigError, match="hook"):
+        sr.svi_solve(model, part, config, hook)
+    with pytest.raises(sr.ConfigError, match="hook"):
+        sr.solve(two_route_mdp, "goal", config, hook)
+    assert calls == []
+
+
+def test_topological_iteration_limit_carries_a_partial_result(two_route_mdp):
+    model, part = prepared(two_route_mdp)
+    config = sr.SolverConfig(topological=True, max_iterations=1)
+    with pytest.raises(sr.IterationLimit) as caught:
+        sr.topological_solve(model, part, config)
+    partial = caught.value.partial
+    # state 2 took the one sweep; the initial state's component never ran
+    assert (partial.iterations, partial.sound) == (1, False)
+    assert (partial.lower, partial.upper, partial.value) == (0.0, 1.0, 0.5)
+
+    with pytest.raises(sr.IterationLimit) as caught:
+        sr.topological_solve(model, part, dataclasses.replace(config, lower=0.2, upper=0.9))
+    assert (caught.value.partial.lower, caught.value.partial.upper) == (0.2, 0.9)
+
+    # starting at state 2, whose component is done after that sweep
+    with pytest.raises(sr.IterationLimit) as caught:
+        sr.topological_solve(dataclasses.replace(model, initial_state=2), part, config)
+    partial = caught.value.partial
+    assert partial.lower == partial.upper == partial.value == pytest.approx(0.1, abs=1e-15)
+    assert not partial.sound
+
+
+def test_topological_reward_iteration_limit_starts_unbounded():
+    model = sr.validate_model(
+        [[{0: 0.5, 1: 0.5}], [{2: 0.5, 1: 0.5}], [{2: 1.0}]],
+        rewards=[[1.0], [1.0], [0.0]],
+        labels={"init": [0], "goal": [2]},
+    )
+    part = sr.reward_partition(model, model.label_mask("goal"))
+    config = sr.SolverConfig(objective=sr.Objective.REWARD, topological=True)
+    assert sr.topological_solve(model, part, config).iterations == 2
+    with pytest.raises(sr.IterationLimit) as caught:
+        sr.topological_solve(model, part, dataclasses.replace(config, max_iterations=1))
+    partial = caught.value.partial
+    # state 1 is done after one sweep (its self-loop ratio is exact), state 0 never ran
+    assert (partial.iterations, partial.sound) == (1, False)
+    assert (partial.lower, partial.upper) == (-np.inf, np.inf)
