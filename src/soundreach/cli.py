@@ -23,13 +23,13 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError, MalformedCsv, ModelError, SolverError, UnknownLabelId
+from .errors import ConfigError, MalformedCsv, ModelError, SolverError
 from .explicit import load_model
-from .model import Direction
-from .solvers import Method, Objective, SolverConfig, solve
+from .model import Direction, SparseModel, _ValueEnum
+from .solvers import Method, Objective, SolveResult, SolverConfig, solve
 
 __all__ = [
     "BenchRecord",
@@ -40,34 +40,22 @@ __all__ = [
     "main",
 ]
 
-CSV_HEADER = [
-    "model",
-    "states",
-    "choices",
-    "transitions",
-    "method",
-    "topological",
-    "direction",
-    "objective",
-    "epsilon",
-    "result",
-    "lower",
-    "upper",
-    "iterations",
-    "time_ms",
-]
-
-_VARIANTS = {"plain": False, "topological": True}
-
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
 @dataclass
 class BenchRecord:
-    """One benchmark measurement; ``error`` is set instead of the numeric
-    result columns when the run failed."""
+    """One benchmark measurement; its fields but ``error`` are the CSV
+    columns.  ``error`` is set instead of the numeric result columns when
+    the run failed, and rides along as an extra trailing column."""
 
     model: str
     states: int
@@ -78,33 +66,42 @@ class BenchRecord:
     direction: str
     objective: str
     epsilon: float
-    result: float | None
-    lower: float | None
-    upper: float | None
-    iterations: int
-    time_ms: float | None
+    result: float | None = None
+    lower: float | None = None
+    upper: float | None = None
+    iterations: int = -1
+    time_ms: float | None = None
     error: str | None = None
 
     def to_row(self) -> list[str]:
-        row = [
-            self.model,
-            str(self.states),
-            str(self.choices),
-            str(self.transitions),
-            self.method,
-            str(self.topological),
-            self.direction,
-            self.objective,
-            _fmt(self.epsilon),
-            "" if self.result is None else _fmt(self.result),
-            "" if self.lower is None else _fmt(self.lower),
-            "" if self.upper is None else _fmt(self.upper),
-            str(self.iterations),
-            "" if self.time_ms is None else _fmt(self.time_ms),
-        ]
-        if self.error is not None:
-            row.append(self.error)
-        return row
+        row = [_cell(getattr(self, name)) for name in CSV_HEADER]
+        return row if self.error is None else row + [self.error]
+
+    def fill(self, result: SolveResult) -> "BenchRecord":
+        """Set the result columns from ``result``."""
+        self.result, self.lower, self.upper = result.value, result.lower, result.upper
+        self.iterations, self.time_ms = result.iterations, result.time_ms
+        return self
+
+
+CSV_HEADER = [f.name for f in fields(BenchRecord) if f.name != "error"]
+
+
+class Variant(_ValueEnum):
+    PLAIN = "plain"
+    TOPOLOGICAL = "topological"
+
+
+def _record(name: str, model: SparseModel | None, config: SolverConfig) -> BenchRecord:
+    """The record of one query with empty result columns; a model that did
+    not load counts 0 states, choices and transitions."""
+    sizes = (0, 0, 0) if model is None else (
+        model.num_states, model.num_choices, model.num_transitions
+    )
+    return BenchRecord(
+        name, *sizes, config.method.value, config.topological,
+        config.direction.value, config.objective.value, float(config.epsilon),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +182,6 @@ def _config_from_args(args: argparse.Namespace) -> SolverConfig:
 
 def _run_check(args: argparse.Namespace) -> int:
     bundle = load_model(args.tra, args.lab, srew_path=args.srew, trew_path=args.trew)
-    if args.goal not in bundle.model.labels:
-        raise UnknownLabelId(f"label {args.goal!r} not present in {args.lab}")
     config = _config_from_args(args)
     if config.method is Method.VI:
         print(
@@ -206,22 +201,7 @@ def _run_check(args: argparse.Namespace) -> int:
         f"iterations={result.iterations} time_ms={result.time_ms:.3f}"
     )
     if args.stats:
-        record = BenchRecord(
-            model=Path(args.tra).stem,
-            states=bundle.model.num_states,
-            choices=bundle.model.num_choices,
-            transitions=bundle.model.num_transitions,
-            method=config.method.value,
-            topological=config.topological,
-            direction=config.direction.value,
-            objective=config.objective.value,
-            epsilon=config.epsilon,
-            result=result.value,
-            lower=result.lower,
-            upper=result.upper,
-            iterations=result.iterations,
-            time_ms=result.time_ms,
-        )
+        record = _record(Path(args.tra).stem, bundle.model, config).fill(result)
         _append_record(Path(args.stats), record)
     return 0
 
@@ -303,86 +283,19 @@ def _parse_manifest(path: Path) -> list[_Instance]:
     return instances
 
 
-def _parse_methods(text: str) -> list[Method]:
-    methods = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
+def _parse_list(text: str, parse, what: str) -> list:
+    """The distinct entries of a comma-separated list, in first-seen order."""
+    picked = []
+    for token in filter(None, map(str.strip, text.split(","))):
         try:
-            methods.append(Method.parse(token))
+            item = parse(token)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    if not methods:
-        raise ConfigError("no methods selected")
-    return methods
-
-
-def _parse_variants(text: str) -> list[bool]:
-    variants = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token not in _VARIANTS:
-            raise ConfigError(
-                f"unknown variant {token!r} (expected plain or topological)"
-            )
-        topological = _VARIANTS[token]
-        if topological not in variants:
-            variants.append(topological)
-    if not variants:
-        raise ConfigError("no variants selected")
-    return variants
-
-
-def _bench_one(
-    instance: _Instance,
-    model,
-    load_error: str | None,
-    method: Method,
-    topological: bool,
-    epsilon: float,
-) -> BenchRecord:
-    record = BenchRecord(
-        model=instance.name,
-        states=model.num_states if model is not None else 0,
-        choices=model.num_choices if model is not None else 0,
-        transitions=model.num_transitions if model is not None else 0,
-        method=method.value,
-        topological=topological,
-        direction=instance.direction.value,
-        objective=instance.objective.value,
-        epsilon=epsilon,
-        result=None,
-        lower=None,
-        upper=None,
-        iterations=-1,
-        time_ms=None,
-    )
-    if load_error is not None:
-        record.error = load_error
-        return record
-    config = SolverConfig(
-        method=method,
-        direction=instance.direction,
-        objective=instance.objective,
-        epsilon=epsilon,
-        topological=topological,
-        lower=instance.lower,
-        upper=instance.upper,
-    )
-    try:
-        result = solve(model, instance.goal, config)
-    except (ModelError, SolverError) as exc:
-        record.error = type(exc).__name__
-        return record
-    record.result = result.value
-    record.lower = result.lower
-    record.upper = result.upper
-    record.iterations = result.iterations
-    record.time_ms = result.time_ms
-    return record
+        if item not in picked:
+            picked.append(item)
+    if not picked:
+        raise ConfigError(f"no {what} selected")
+    return picked
 
 
 def bench_run(
@@ -403,32 +316,40 @@ def bench_run(
     manifest_path = Path(manifest_path)
     out = Path(out_path) if out_path is not None else Path("bench_results.csv")
     instances = _parse_manifest(manifest_path)
-    method_list = _parse_methods(methods)
-    variant_list = _parse_variants(variants)
-
-    loaded: list[tuple] = []
-    for instance in instances:
-        try:
-            bundle = load_model(
-                instance.tra, instance.lab,
-                srew_path=instance.srew, trew_path=instance.trew,
-            )
-            if instance.goal not in bundle.model.labels:
-                loaded.append((instance, None, "UnknownLabelId"))
-            else:
-                loaded.append((instance, bundle.model, None))
-        except (ModelError, OSError) as exc:
-            loaded.append((instance, None, type(exc).__name__))
+    method_list = _parse_list(methods, Method.parse, "methods")
+    variant_list = _parse_list(variants, Variant.parse, "variants")
 
     records = []
-    for instance, model, load_error in loaded:
+    for instance in instances:
+        model, load_error = None, None
+        try:
+            model = load_model(
+                instance.tra, instance.lab,
+                srew_path=instance.srew, trew_path=instance.trew,
+            ).model
+        except (ModelError, OSError) as exc:
+            load_error = type(exc).__name__
         for method in method_list:
-            for topological in variant_list:
-                if topological and method is not Method.SVI:
+            for variant in variant_list:
+                if variant is Variant.TOPOLOGICAL and method is not Method.SVI:
                     continue
-                records.append(_bench_one(
-                    instance, model, load_error, method, topological, epsilon
-                ))
+                config = SolverConfig(
+                    method=method,
+                    direction=instance.direction,
+                    objective=instance.objective,
+                    epsilon=epsilon,
+                    topological=variant is Variant.TOPOLOGICAL,
+                    lower=instance.lower,
+                    upper=instance.upper,
+                )
+                record = _record(instance.name, model, config)
+                record.error = load_error
+                if model is not None:
+                    try:
+                        record.fill(solve(model, instance.goal, config))
+                    except (ModelError, SolverError) as exc:
+                        record.error = type(exc).__name__
+                records.append(record)
 
     with out.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")

@@ -70,7 +70,8 @@ class NonContiguousChoices(ParseError):
 
 
 class UnknownLabelId(ParseError):
-    """A state line references a label identifier that was never declared."""
+    """A label is referenced that was never declared: an identifier in a
+    state line of a label file, or a goal name the model does not carry."""
 
 
 class MultipleInitStates(ParseError):

@@ -27,6 +27,7 @@ from .errors import (
     ModelError,
     NegativeProbability,
     RowSumError,
+    UnknownLabelId,
 )
 
 __all__ = [
@@ -45,18 +46,26 @@ __all__ = [
 ROW_SUM_TOLERANCE = 1e-6
 
 
-class Direction(enum.Enum):
+class _ValueEnum(enum.Enum):
+    """An enum whose members are named in text by their values."""
+
+    @classmethod
+    def parse(cls, text: str):
+        try:
+            return cls(text)
+        except ValueError:
+            *rest, last = (repr(member.value) for member in cls)
+            expected = f"{', '.join(rest)} or {last}"
+            raise ValueError(
+                f"unknown {cls.__name__.lower()} {text!r} (expected {expected})"
+            ) from None
+
+
+class Direction(_ValueEnum):
     """Optimization direction for MDP queries (ignored for Markov chains)."""
 
     MAXIMIZE = "max"
     MINIMIZE = "min"
-
-    @classmethod
-    def parse(cls, text: str) -> "Direction":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown direction {text!r} (expected 'max' or 'min')")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -118,7 +127,7 @@ class SparseModel:
         try:
             return self.labels[name]
         except KeyError:
-            raise KeyError(f"model has no label {name!r}") from None
+            raise UnknownLabelId(f"model has no label {name!r}") from None
 
     # -- equality (used by round-trip tests) --------------------------------
 

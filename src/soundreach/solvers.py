@@ -19,7 +19,6 @@ wires graph preprocessing and an engine together for one query.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 import time
@@ -28,7 +27,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import (
-    QuotientMap,
     check_contracting,
     collapse_end_components,
     reach_partition,
@@ -43,7 +41,9 @@ from .errors import (
     RewardOnMec,
     TooLargeForOracle,
 )
-from .model import Direction, Partition, SparseModel, _checked_choices, make_absorbing
+from .model import (
+    Direction, Partition, SparseModel, _ValueEnum, _checked_choices, make_absorbing,
+)
 
 __all__ = [
     "Objective",
@@ -67,29 +67,15 @@ __all__ = [
 ]
 
 
-class Objective(enum.Enum):
+class Objective(_ValueEnum):
     PROBABILITY = "prob"
     REWARD = "reward"
 
-    @classmethod
-    def parse(cls, text: str) -> "Objective":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown objective {text!r} (expected 'prob' or 'reward')")
 
-
-class Method(enum.Enum):
+class Method(_ValueEnum):
     VI = "vi"
     II = "ii"
     SVI = "svi"
-
-    @classmethod
-    def parse(cls, text: str) -> "Method":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown method {text!r} (expected 'vi', 'ii' or 'svi')")
 
 
 @dataclass(frozen=True)
@@ -97,14 +83,13 @@ class SolverConfig:
     """Everything a solve run needs besides the model and the partition.
 
     ``lower``/``upper`` are optional scalar initial bounds valid for every
-    undecided state; ``lower_vector``/``upper_vector`` are their per-state
-    counterparts (used by interval iteration on rewards).  ``solve`` starts
-    svi probability queries at ``[0, 1]`` intersected with these bounds;
-    ``svi_solve`` itself starts a missing bound at infinity, and interval
-    iteration starts probabilities at 0 and 1.  ``epsilon`` is the
-    absolute precision: certified methods stop once the certified interval
-    at the initial state is narrower than ``2 * epsilon`` and report its
-    midpoint, so the result is within ``epsilon`` of the true value.
+    undecided state.  ``solve`` starts svi probability queries at ``[0, 1]``
+    intersected with these bounds; ``svi_solve`` itself starts a missing
+    bound at infinity, and interval iteration starts probabilities at 0 and
+    1.  ``epsilon`` is the absolute precision: certified methods stop once
+    the certified interval at the initial state is narrower than
+    ``2 * epsilon`` and report its midpoint, so the result is within
+    ``epsilon`` of the true value.
     """
 
     method: Method = Method.SVI
@@ -114,8 +99,6 @@ class SolverConfig:
     topological: bool = False
     lower: float | None = None
     upper: float | None = None
-    lower_vector: np.ndarray | None = None
-    upper_vector: np.ndarray | None = None
     max_iterations: int = 50_000_000
     record_trace: bool = False
 
@@ -126,9 +109,6 @@ class SolverConfig:
             raise ConfigError("max_iterations must be at least 1")
         if any(b is not None and math.isnan(b) for b in (self.lower, self.upper)):
             raise ConfigError(f"initial bounds must not be NaN, got [{self.lower}, {self.upper}]")
-        vectors = (self.lower_vector, self.upper_vector)
-        if any(v is not None and np.isnan(v).any() for v in vectors):
-            raise ConfigError("initial bound vectors must not contain NaN")
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             raise ConfigError(
                 f"initial lower bound {self.lower!r} exceeds upper bound {self.upper!r}"
@@ -759,27 +739,12 @@ def vi_solve(
     return _finished(result, converged, config)
 
 
-def _check_bound_vectors(config: SolverConfig, num_states: int) -> None:
-    for vector in (config.lower_vector, config.upper_vector):
-        if vector is not None and len(vector) != num_states:
-            raise ConfigError(
-                f"initial bound vectors need one entry per state ({num_states}), "
-                f"got {len(vector)}"
-            )
-
-
 def _ii_start_vectors(kern: _Kernels, config: SolverConfig) -> list[np.ndarray]:
     """Interval iteration's lower and upper start vectors, in kernel order."""
-    _check_bound_vectors(config, len(kern.order))
     starts = []
-    for side, vector, scalar, default in (
-        ("lower", config.lower_vector, config.lower, 0.0),
-        ("upper", config.upper_vector, config.upper, 1.0),
-    ):
+    for side, scalar, default in (("lower", config.lower, 0.0), ("upper", config.upper, 1.0)):
         start = kern.x_start.copy()
-        if vector is not None:
-            start[: kern.m] = np.asarray(vector, dtype=np.float64)[kern.live]
-        elif scalar is not None:
+        if scalar is not None:
             start[: kern.m] = scalar
         elif config.objective is Objective.PROBABILITY:
             start[: kern.m] = default
@@ -797,9 +762,8 @@ def ii_solve(
     """Interval iteration: twin Bellman iterations from below and above.
 
     Probability queries default to the trivial bounds 0 and 1; reward
-    queries require initial bounds (scalar or per-state) in the
-    configuration.  Stops when the widest per-state gap drops below
-    ``2 * epsilon``.
+    queries require scalar initial bounds in the configuration.  Stops when
+    the widest per-state gap drops below ``2 * epsilon``.
     """
     config = replace(config, method=Method.II).validated()
     short = _shortcut(model, partition, config)
@@ -948,22 +912,6 @@ def oracle_solve(
 # ---------------------------------------------------------------------------
 
 
-def _quotient_bound_vectors(config: SolverConfig, quotient: QuotientMap) -> SolverConfig:
-    """The start bound vectors over the quotient's states: the loosest bound
-    among each quotient state's members."""
-    mapped = {}
-    for name, reduce, neutral in (
-        ("lower_vector", np.minimum, math.inf),
-        ("upper_vector", np.maximum, -math.inf),
-    ):
-        vector = getattr(config, name)
-        if vector is not None:
-            out = np.full(quotient.model.num_states, neutral)
-            reduce.at(out, quotient.state_map, np.asarray(vector, dtype=np.float64))
-            mapped[name] = out
-    return replace(config, **mapped)
-
-
 def solve(
     model: SparseModel,
     goal,
@@ -981,13 +929,11 @@ def solve(
     end components outside the goal.  svi probability queries start at
     ``[0, 1]``: a missing bound becomes 0 or 1, a given one is clipped into
     ``[0, 1]``, and a NaN bound, a lower bound above 1 or an upper bound
-    below 0 raises ``ConfigError``.  Per-state start bound vectors must have
-    one entry per state of ``model``; a collapsed end component starts at
-    the smallest lower and the largest upper bound of its members.  The
-    reported time covers this preprocessing plus the iteration itself.
+    below 0 raises ``ConfigError``.  An unknown goal label raises
+    ``UnknownLabelId``.  The reported time covers this preprocessing plus
+    the iteration itself.
     """
     config = config.validated()
-    _check_bound_vectors(config, model.num_states)
     if config.method is Method.SVI and config.objective is Objective.PROBABILITY:
         config = replace(
             config,
@@ -1009,7 +955,6 @@ def solve(
         if config.direction is Direction.MAXIMIZE:
             quotient = collapse_end_components(prepared, partition)
             prepared, partition = quotient.model, quotient.partition
-            config = _quotient_bound_vectors(config, quotient)
 
     if config.method is Method.SVI:
         result = svi_solve(prepared, partition, config, on_iteration)

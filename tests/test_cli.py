@@ -61,6 +61,13 @@ def col(name):
 # ---------------------------------------------------------------------------
 
 
+def test_csv_header():
+    assert ",".join(CSV_HEADER) == (
+        "model,states,choices,transitions,method,topological,direction,"
+        "objective,epsilon,result,lower,upper,iterations,time_ms"
+    )
+
+
 def test_check_result_line(model_dir, capsys):
     code = run(["check", "--tra", model_dir / "chain.tra",
                 "--lab", model_dir / "chain.lab", "--goal", "goal"])
@@ -209,6 +216,27 @@ def test_check_stats_refuses_another_header(model_dir, tmp_path, capsys, header)
     assert stats.read_text() == header
 
 
+def test_check_stats_row_matches_bench_row(model_dir, tmp_path, capsys):
+    # both commands build their records one way: only the timing differs
+    stats = tmp_path / "stats.csv"
+    assert run(["check", "--tra", model_dir / "branch.tra",
+                "--lab", model_dir / "branch.lab", "--goal", "goal",
+                "--method", "ii", "--direction", "min", "--epsilon", "1e-4",
+                "--stats", stats]) == 0
+    manifest = tmp_path / "one.manifest"
+    manifest.write_text(
+        f"branch {model_dir / 'branch.tra'} {model_dir / 'branch.lab'} goal prob min\n"
+    )
+    out = tmp_path / "bench.csv"
+    assert run(["bench", manifest, "--out", out, "--methods", "ii",
+                "--epsilon", "1e-4"]) == 0
+    capsys.readouterr()
+    (checked,), (benched,) = read_rows(stats)[1:], read_rows(out)[1:]
+    timing = col("time_ms")
+    assert checked[:timing] == benched[:timing]
+    assert checked[timing + 1:] == benched[timing + 1:] == []
+
+
 def test_check_rejects_removed_flag(model_dir, capsys):
     with pytest.raises(SystemExit) as exit_info:
         run(["check", "--tra", model_dir / "chain.tra",
@@ -294,6 +322,36 @@ def test_bench_variant_matrix(model_dir, tmp_path):
     assert ("slow", "vi", "False") in combos
     assert not any(m == "vi" and t == "True" for _, m, t in combos)
     assert len(rows) == 1 + 2 * 3
+
+
+def test_bench_drops_repeated_list_entries(model_dir, tmp_path):
+    out = tmp_path / "repeats.csv"
+    assert run(["bench", model_dir / "suite.manifest", "--out", out,
+                "--methods", "svi,svi,ii,svi", "--variants", "plain,plain",
+                "--epsilon", "1e-2"]) == 0
+    keys = [(r[col("model")], r[col("method")]) for r in read_rows(out)[1:]]
+    assert keys == [
+        ("slow", "svi"), ("slow", "ii"), ("branch", "svi"), ("branch", "ii")
+    ]
+
+
+def test_bench_unknown_goal_rows(model_dir, tmp_path):
+    manifest = tmp_path / "nogoal.manifest"
+    manifest.write_text(
+        f"lost {model_dir / 'chain.tra'} {model_dir / 'chain.lab'} nope prob max\n"
+    )
+    out = tmp_path / "nogoal.csv"
+    assert run(["bench", manifest, "--out", out]) == 0
+    rows = read_rows(out)[1:]
+    assert [r[col("method")] for r in rows] == ["svi", "ii"]
+    chain = slow_chain_model()
+    for row in rows:
+        assert row[len(CSV_HEADER):] == ["UnknownLabelId"]
+        assert int(row[col("iterations")]) == -1 and row[col("result")] == ""
+        # the model loaded, so its sizes are reported
+        assert [int(row[col(name)]) for name in ("states", "choices", "transitions")] == [
+            chain.num_states, chain.num_choices, chain.num_transitions
+        ]
 
 
 @pytest.mark.parametrize("variant", ["gauss-seidel", "gs"])

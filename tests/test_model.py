@@ -91,7 +91,7 @@ def test_label_masks():
         labels={"init": [0], "goal": np.array([False, True])},
     )
     np.testing.assert_array_equal(m.label_mask("goal"), [False, True])
-    with pytest.raises(KeyError):
+    with pytest.raises(sr.UnknownLabelId, match="nope"):
         m.label_mask("nope")
     with pytest.raises(sr.DanglingTarget):
         sr.validate_model([[{0: 1.0}]], labels={"bad": [5]})
