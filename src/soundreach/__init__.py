@@ -37,7 +37,6 @@ from .errors import (
     InvalidChoiceIndex,
     IterationLimit,
     MalformedCsv,
-    MecContainsGoal,
     MissingInit,
     MissingRewardBounds,
     ModelError,
@@ -168,6 +167,5 @@ __all__ = [
     "RewardOnMec",
     "MissingRewardBounds",
     "TooLargeForOracle",
-    "MecContainsGoal",
     "IterationLimit",
 ]

@@ -13,7 +13,8 @@ one greatest-fixpoint search, are breadth-first searches over a predecessor
 CSR, each round gathering the entries into a whole frontier at once.
 ``prob0_min`` is one run of ``_Attractor``; ``mec_decompose`` alternates it
 with passes of ``_tarjan``, which walks a state-level successor CSR as
-Python lists and also serves ``scc_order``.
+Python lists and also serves ``scc_order``.  Collapse reuses one
+decomposition of the undecided states, retained choices included.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MecContainsGoal
 # validate_model stays imported: perfbench/tracing.py wraps it here.
-from .model import Direction, Partition, SparseModel, _map_mask, _ranges, submodel, validate_model
+from .model import (
+    Direction, Partition, SparseModel, _map_mask, _ranges, _state_mask, submodel, validate_model,
+)
 
 __all__ = [
     "SccOrder",
@@ -77,7 +79,7 @@ def prob0_max(model: SparseModel, goal: np.ndarray) -> np.ndarray:
     along arbitrary transitions: a breadth-first search whose rounds gather
     the predecessors of the whole frontier at once.
     """
-    goal = np.asarray(goal, dtype=bool)
+    goal = _state_mask(model, goal)
     entry_source = np.repeat(model.choice_state(), np.diff(model.choice_start))
     entries_into = _predecessors(model)
     can_reach = goal.copy()
@@ -136,7 +138,7 @@ def prob0_min(model: SparseModel, goal: np.ndarray) -> np.ndarray:
     greatest set of non-goal states that each own a choice whose successors
     all stay inside the set, found by one attractor run from ``~goal``.
     """
-    attractor = _Attractor(model, ~np.asarray(goal, dtype=bool))
+    attractor = _Attractor(model, ~_state_mask(model, goal))
     attractor.run()
     return attractor.component_of >= 0
 
@@ -254,8 +256,11 @@ class Mec:
 
 @dataclass(frozen=True)
 class MecDecomposition:
+    """All MECs, and the same decision per state and per choice."""
+
     mecs: list
     mec_of: np.ndarray  # state -> MEC index, -1 when in none
+    choice_mec: np.ndarray  # choice -> index of the MEC retaining it, -1 when none
 
 
 def mec_decompose(model: SparseModel, restrict: np.ndarray | None = None) -> MecDecomposition:
@@ -269,10 +274,11 @@ def mec_decompose(model: SparseModel, restrict: np.ndarray | None = None) -> Mec
     component and everything that then falls.  Split the components with a
     Tarjan pass over the retained choices, and repeat until a run drops
     nothing.  MECs come in the completion order of the last pass, each with
-    its states and retained choices ascending.
+    its states and retained choices ascending; ``mec_of`` and ``choice_mec``
+    label the same states and choices with their MEC's index.
     """
     n = model.num_states
-    alive = np.ones(n, dtype=bool) if restrict is None else np.asarray(restrict, dtype=bool)
+    alive = np.ones(n, dtype=bool) if restrict is None else _state_mask(model, restrict)
     attractor = _Attractor(model, alive)
     attractor.run()
     while (alive := attractor.component_of >= 0).any():
@@ -285,7 +291,7 @@ def mec_decompose(model: SparseModel, restrict: np.ndarray | None = None) -> Mec
     component_of, choice_alive = attractor.component_of, attractor.choice_alive
     choice_mec = np.where(choice_alive, component_of[attractor.choice_state], -1)
     mecs = list(map(Mec, _groups(component_of), _groups(choice_mec)))
-    return MecDecomposition(mecs=mecs, mec_of=component_of)
+    return MecDecomposition(mecs=mecs, mec_of=component_of, choice_mec=choice_mec)
 
 
 # ---------------------------------------------------------------------------
@@ -311,45 +317,32 @@ class QuotientMap:
 def collapse_end_components(model: SparseModel, partition: Partition) -> QuotientMap:
     """Collapse each maximal end component inside ``partition.maybe``.
 
-    Every MEC becomes a single quotient state whose choices are the member
-    choices with at least one successor outside the MEC; their probabilities
-    are redirected through the state map (mass staying inside becomes a
-    self-loop) and their rewards are preserved.  Goal and sure-zero states
-    are untouched.  Without any MEC the input model is returned as an
-    identity quotient.
+    Each MEC of ``mec_decompose(model, restrict=partition.maybe)`` becomes
+    one quotient state, numbered by its lowest member, whose choices are the
+    member choices the MEC does not retain, those with a successor outside
+    it.  Their probabilities are redirected through the state map (mass
+    staying inside becomes a self-loop), their rewards are preserved.  Goal
+    and sure-zero states are not searched and stay as they are.  Without
+    any MEC the input model is returned as an identity quotient.
     """
-    decomposition = mec_decompose(model, restrict=partition.maybe | partition.goal)
-    collapsible = []
-    for mec in decomposition.mecs:
-        if np.any(partition.goal[mec.states]):
-            if np.any(partition.maybe[mec.states]):
-                raise MecContainsGoal(
-                    "an end component overlaps the goal set; "
-                    "goal states must be absorbing"
-                )
-            continue  # an absorbing goal loop stays as it is
-        collapsible.append(mec)
-    if not collapsible:
+    decomposition = mec_decompose(model, restrict=partition.maybe)
+    mec_of = decomposition.mec_of
+    members = np.flatnonzero(mec_of >= 0)
+    if not len(members):
         identity = np.arange(model.num_states, dtype=np.int64)
         return QuotientMap(model=model, state_map=identity, partition=partition)
 
-    # Quotient states are numbered by their first member: a running count of
-    # the states that are their own first member.
-    mec_of = np.full(model.num_states, -1, dtype=np.int64)
+    # Quotient states are numbered by their lowest member: a running count of
+    # the states that are their own lowest member.
+    lowest = np.full(int(mec_of.max()) + 1, model.num_states)
+    np.minimum.at(lowest, mec_of[members], members)
     first = np.arange(model.num_states)
-    for index, mec in enumerate(collapsible):
-        mec_of[mec.states] = index
-        first[mec.states] = mec.states.min()
+    first[members] = lowest[mec_of[members]]
     state_map = np.cumsum(first == np.arange(model.num_states))[first] - 1
     num_quotient = int(state_map.max()) + 1
 
-    # Drop the member choices whose successors all stay in their MEC.
-    choice_state = model.choice_state()
-    choice_mec = mec_of[choice_state]
-    stays = mec_of[model.entry_target] == np.repeat(choice_mec, np.diff(model.choice_start))
-    internal = np.logical_and.reduceat(stays, model.choice_start[:-1]) & (choice_mec != -1)
-    kept = np.flatnonzero(~internal)
-    owner = state_map[choice_state[kept]]
+    kept = np.flatnonzero(decomposition.choice_mec < 0)
+    owner = state_map[model.choice_state()[kept]]
     order = np.argsort(owner, kind="stable")
     quotient = submodel(model, owner[order], kept[order], num_quotient, state_map)
     new_partition = Partition(
@@ -373,7 +366,7 @@ def reach_partition(model: SparseModel, goal: np.ndarray, direction: Direction) 
     end-component check: ``s0`` is the greatest set of non-goal states that
     each keep a choice inside the set, and ``s0 | M`` would be a larger one.
     """
-    goal = np.asarray(goal, dtype=bool)
+    goal = _state_mask(model, goal)
     zero = prob0_max if direction is Direction.MAXIMIZE else prob0_min
     s0 = zero(model, goal) & ~goal
     return Partition(s0=s0, goal=goal.copy(), maybe=~(s0 | goal))
@@ -381,7 +374,7 @@ def reach_partition(model: SparseModel, goal: np.ndarray, direction: Direction) 
 
 def reward_partition(model: SparseModel, goal: np.ndarray) -> Partition:
     """Partition for an expected-reward query: everything outside goal is open."""
-    goal = np.asarray(goal, dtype=bool)
+    goal = _state_mask(model, goal)
     return Partition(
         s0=np.zeros(model.num_states, dtype=bool),
         goal=goal.copy(),

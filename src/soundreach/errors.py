@@ -28,7 +28,6 @@ __all__ = [
     "RewardOnMec",
     "MissingRewardBounds",
     "TooLargeForOracle",
-    "MecContainsGoal",
     "IterationLimit",
 ]
 
@@ -108,10 +107,6 @@ class MissingRewardBounds(SolverError):
 
 class TooLargeForOracle(SolverError):
     """The exhaustive reference solver only handles very small instances."""
-
-
-class MecContainsGoal(SolverError):
-    """An end component overlaps the goal set; goal states must be absorbing."""
 
 
 class IterationLimit(SolverError):

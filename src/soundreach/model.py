@@ -15,6 +15,7 @@ are already validated.
 from __future__ import annotations
 
 import enum
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -212,7 +213,7 @@ class Scheduler:
     choice_of: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.choice_of, dtype=np.int64)
+        arr = _integers(self.choice_of, InvalidChoiceIndex, "scheduler")
         object.__setattr__(self, "choice_of", _freeze(arr))
 
     def __len__(self) -> int:
@@ -256,23 +257,45 @@ def validate_model(
                     probs.append(prob)
             lengths.append(len(targets) - before)
             try:
-                choice_rewards.append(0.0 if rewards is None else float(rewards[s][c]))
+                choice_rewards.append(0.0 if rewards is None else rewards[s][c])
             except (IndexError, TypeError):
                 choice_rewards.append(0.0)
     try:
-        entry_target = np.fromiter(map(int, targets), np.int64, len(targets))
-    except OverflowError:
-        raise DanglingTarget(f"a target is out of range: {max(abs(int(t)) for t in targets)}") from None
+        initial_state = operator.index(initial_state)
+    except TypeError:
+        raise DanglingTarget(f"initial state {initial_state!r} is not a state") from None
     return _build_model(
         np.array(sizes, dtype=np.int64),
         np.arange(len(lengths)).repeat(lengths),
-        entry_target,
-        np.fromiter(map(float, probs), np.float64, len(probs)),
-        np.array(choice_rewards, dtype=np.float64),
+        _converted(targets, operator.index, np.int64, "target", sizes, lengths),
+        _converted(probs, float, np.float64, "probability", sizes, lengths),
+        _converted(choice_rewards, float, np.float64, "reward", sizes, [1] * len(lengths)),
         initial_state=initial_state,
         labels=labels,
         choice_labels=choice_labels,
     )
+
+
+def _converted(values: list, to, dtype, what: str, sizes: list, lengths: list) -> np.ndarray:
+    """``values`` as a ``dtype`` array, each converted once by ``to``; choice
+    ``i`` owns ``lengths[i]`` values and state ``s`` owns ``sizes[s]`` choices.
+    A value that does not convert raises :class:`DanglingTarget` (a target)
+    or :class:`ModelError`, naming its state and choice."""
+    try:
+        return np.fromiter(map(to, values), dtype, len(values))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    for e, value in enumerate(values):  # the first offender
+        try:
+            dtype(to(value))
+        except (TypeError, ValueError, OverflowError):
+            break
+    choice = int(np.searchsorted(np.cumsum(lengths), e, side="right"))
+    state = int(np.searchsorted(np.cumsum(sizes), choice, side="right"))
+    where = f"state {state} choice {choice - sum(sizes[:state])}"
+    if to is operator.index:
+        raise DanglingTarget(f"{where}: target {value!r} is not a state")
+    raise ModelError(f"{where}: {what} {value!r} is not a number")
 
 
 def _run_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -384,9 +407,10 @@ def _build_model(
             mask = arr.copy()
         else:
             mask = np.zeros(num_states, dtype=bool)
+            arr = _integers(arr, DanglingTarget, f"label {name!r}")
             if arr.size and (arr.min() < 0 or arr.max() >= num_states):
                 raise DanglingTarget(f"label {name!r}: state index out of range")
-            mask[arr.astype(np.int64)] = True
+            mask[arr] = True
         label_masks[name] = _freeze(mask)
 
     if choice_labels is not None:
@@ -414,6 +438,24 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     offsets = lengths.cumsum() - lengths
     total = int(offsets[-1] + lengths[-1]) if len(lengths) else 0
     return np.arange(total) + (starts - offsets).repeat(lengths)
+
+
+def _integers(values, error: type, what: str) -> np.ndarray:
+    """``values`` as int64 indices; values that are not integers raise
+    ``error`` instead of being truncated."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise error(f"{what} holds {arr.dtype} values, not indices")
+    return arr.astype(np.int64, copy=False)
+
+
+def _state_mask(model: SparseModel, mask) -> np.ndarray:
+    """``mask`` as a boolean array with one entry per state of ``model``;
+    any other shape raises :class:`DanglingTarget`."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (model.num_states,):
+        raise DanglingTarget(f"a state mask of shape {mask.shape} for {model.num_states} states")
+    return mask
 
 
 def _map_mask(mask: np.ndarray, state_map: np.ndarray, num_states: int) -> np.ndarray:
@@ -494,9 +536,7 @@ def make_absorbing(model: SparseModel, states: np.ndarray) -> SparseModel:
     themselves and reward 0; all other rows are copied bit for bit.  Applying
     the function twice gives the same model as applying it once.
     """
-    mask = np.asarray(states, dtype=bool)
-    if len(mask) != model.num_states:
-        raise DanglingTarget("absorbing mask length does not match state count")
+    mask = _state_mask(model, states)
     sizes = np.where(mask, 1, model.group_sizes())
     owner = np.arange(model.num_states).repeat(sizes)
     pick = _ranges(model.row_group_start[:-1], sizes)
@@ -505,9 +545,10 @@ def make_absorbing(model: SparseModel, states: np.ndarray) -> SparseModel:
 
 
 def _checked_choices(model: SparseModel, local) -> np.ndarray:
-    """``local`` (a local choice per state) as int64 indices; a wrong length
-    or a choice its state does not have raises :class:`InvalidChoiceIndex`."""
-    local = np.asarray(local, dtype=np.int64)
+    """``local`` (a local choice per state) as int64 indices; non-integers,
+    a wrong length or a choice its state does not have raise
+    :class:`InvalidChoiceIndex`."""
+    local = _integers(local, InvalidChoiceIndex, "scheduler")
     if len(local) != model.num_states:
         raise InvalidChoiceIndex("scheduler length does not match state count")
     sizes = model.group_sizes()

@@ -150,6 +150,35 @@ def test_prob0_min_deep_attractor():
     np.testing.assert_array_equal(np.flatnonzero(zero), [n, n + 1])
 
 
+SHORT_PARTITION = sr.Partition(
+    s0=np.array([False, False]), goal=np.array([False, True]), maybe=np.array([True, False])
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: sr.prob0_max(m, [False, True]),
+        lambda m: sr.prob0_min(m, [False, True]),
+        lambda m: sr.check_contracting(m, [False, True]),
+        lambda m: sr.reach_partition(m, [False, True], sr.Direction.MAXIMIZE),
+        lambda m: sr.reach_partition(m, [False, True], sr.Direction.MINIMIZE),
+        lambda m: sr.reward_partition(m, [False, True]),
+        lambda m: sr.mec_decompose(m, restrict=[False, True]),
+        lambda m: sr.collapse_end_components(m, SHORT_PARTITION),
+        lambda m: sr.make_absorbing(m, [False, True]),
+    ],
+    ids=[
+        "prob0_max", "prob0_min", "check_contracting", "reach_partition_max",
+        "reach_partition_min", "reward_partition", "mec_decompose", "collapse", "make_absorbing",
+    ],
+)
+def test_state_mask_of_the_wrong_length_is_refused(call):
+    m = sr.validate_model([[{1: 1.0}], [{0: 0.5, 2: 0.5}], [{2: 1.0}]])
+    with pytest.raises(sr.DanglingTarget, match=r"shape \(2,\) for 3 states"):
+        call(m)
+
+
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
@@ -403,9 +432,12 @@ def test_mec_decompose_matches_peeling_reference():
         got = sr.mec_decompose(model, restrict)
         np.testing.assert_array_equal(got.mec_of, want_of)
         assert len(got.mecs) == len(want)
-        for mec, (states, choices) in zip(got.mecs, want):
-            np.testing.assert_array_equal(mec.states, states)
-            np.testing.assert_array_equal(mec.choices, choices)
+        want_choice_mec = np.full(model.num_choices, -1)
+        for index, (states, choices) in enumerate(want):
+            np.testing.assert_array_equal(got.mecs[index].states, states)
+            np.testing.assert_array_equal(got.mecs[index].choices, choices)
+            want_choice_mec[choices] = index
+        np.testing.assert_array_equal(got.choice_mec, want_choice_mec)
         found += len(want)
     assert found > 300  # the suite must exercise many components
 
@@ -431,6 +463,15 @@ def test_mec_decompose_needs_few_tarjan_passes(monkeypatch):
     assert [mec.states.tolist() for mec in decomposition.mecs] == [[n - 1]]
     np.testing.assert_array_equal(np.flatnonzero(decomposition.mec_of >= 0), [n - 1])
     assert len(passes) <= 2
+    # collapse searches the undecided states only, and the attractor alone
+    # empties them: no Tarjan pass
+    passes.clear()
+    goal = goal_mask(model, n - 1)
+    absorbed = sr.make_absorbing(model, goal)
+    partition = sr.reach_partition(absorbed, goal, sr.Direction.MAXIMIZE)
+    quotient = sr.collapse_end_components(absorbed, partition)
+    assert not passes
+    assert quotient.is_identity and quotient.model == absorbed
 
 
 def test_check_contracting(slow_chain):
@@ -552,15 +593,24 @@ def test_collapse_component_without_exit_is_an_empty_row_group():
         sr.collapse_end_components(m, sr.reward_partition(m, goal))
 
 
-def test_collapse_rejects_goal_inside_component():
-    m = two_state_loop_with_exit()
+def test_collapse_searches_the_undecided_states_only():
+    # 0 -> 1 -> 0 is an end component through the goal 1, which is not
+    # absorbing here; only the undecided state 0 is searched, and its
+    # self-loop is its end component
+    m = sr.validate_model([[{0: 1.0}, {1: 1.0}], [{0: 1.0}]])
     partition = sr.Partition(
-        s0=np.array([False, False, False]),
-        goal=np.array([False, True, False]),
-        maybe=np.array([True, False, True]),
+        s0=np.array([False, False]),
+        goal=np.array([False, True]),
+        maybe=np.array([True, False]),
     )
-    with pytest.raises(sr.MecContainsGoal):
-        sr.collapse_end_components(m, partition)
+    quotient = sr.collapse_end_components(m, partition)
+    np.testing.assert_array_equal(quotient.state_map, [0, 1])
+    (exit_choice,) = quotient.model.choices_of(0)  # the self-loop is dropped
+    assert quotient.model.entries_of(exit_choice)[0].tolist() == [1]
+    (goal_choice,) = quotient.model.choices_of(1)
+    targets, probs = quotient.model.entries_of(goal_choice)
+    assert targets.tolist() == [0] and probs.tolist() == [1.0]
+    assert quotient.partition == partition
 
 
 def test_collapse_random_models_preserve_oracle():

@@ -85,6 +85,37 @@ def test_dangling_target():
         sr.validate_model([[{0: 1.0}]], initial_state=3)
 
 
+@pytest.mark.parametrize(
+    "kwargs, what",
+    [
+        (dict(choices=[[{0.5: 1.0}], [{1: 1.0}]]), "state 0 choice 0: target 0.5"),
+        (dict(choices=[[{0: 1.0}], [{1: 1.0}]], initial_state=0.5), "initial state 0.5"),
+        (dict(choices=[[{0: 1.0}], [{1: 1.0}]], labels={"goal": [0.7]}), "label 'goal'"),
+    ],
+    ids=["target", "initial_state", "label"],
+)
+def test_fractional_state_index_rejected(kwargs, what):
+    # each used to be truncated to state 0
+    with pytest.raises(sr.DanglingTarget, match=what):
+        sr.validate_model(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, what",
+    [
+        (dict(choices=[[{0: 1.0}], [{"one": 1.0}]]), "target 'one'"),
+        (dict(choices=[[{0: 1.0}], [{1: "one"}]]), "probability 'one'"),
+        (dict(choices=[[{0: 1.0}], [{1: None}]]), "probability None"),
+        (dict(choices=[[{0: 1.0}], [{1: 1.0}]], rewards=[[0.0], ["one"]]), "reward 'one'"),
+        (dict(choices=[[{0: 1.0}], [{1: 1.0}]], rewards=[[0.0], [None]]), "reward None"),
+    ],
+    ids=["target", "probability", "probability_none", "reward", "reward_none"],
+)
+def test_non_numeric_entry_is_a_model_error(kwargs, what):
+    with pytest.raises(sr.ModelError, match=f"state 1 choice 0: {what}"):
+        sr.validate_model(**kwargs)
+
+
 def test_label_masks():
     m = sr.validate_model(
         [[{1: 1.0}], [{1: 1.0}]],
@@ -183,6 +214,18 @@ def test_induce_mc_bad_scheduler(branching_mdp):
         sr.induce_mc(branching_mdp, sr.Scheduler(np.array([0, 0, 0])))
     with pytest.raises(sr.InvalidChoiceIndex):
         sr.induce_mc(branching_mdp, sr.Scheduler(np.array([2, 0, 0, 0, 0])))
+
+
+def test_fractional_scheduler_rejected(branching_mdp):
+    # Scheduler and the y-step's scheduler check used to truncate 1.9 to 1
+    with pytest.raises(sr.InvalidChoiceIndex, match="float64"):
+        sr.Scheduler([1.9, 0, 0, 0, 0])
+    goal = np.zeros(5, dtype=bool)
+    goal[4] = True
+    partition = sr.reach_partition(branching_mdp, goal, sr.Direction.MAXIMIZE)
+    with pytest.raises(sr.InvalidChoiceIndex, match="float64"):
+        sr.bellman_step_h(branching_mdp, partition, np.ones(5), np.array([1.9, 0, 0, 0, 0]))
+    assert sr.Scheduler([]).choice_of.dtype == np.int64
 
 
 def test_partition_masks_must_partition():
