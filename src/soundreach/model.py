@@ -446,7 +446,7 @@ def _integers(values, error: type, what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
         raise error(f"{what} holds {arr.dtype} values, not indices")
-    return arr.astype(np.int64, copy=False)
+    return arr.astype(np.int64)
 
 
 def _state_mask(model: SparseModel, mask) -> np.ndarray:

@@ -228,6 +228,15 @@ def test_fractional_scheduler_rejected(branching_mdp):
     assert sr.Scheduler([]).choice_of.dtype == np.int64
 
 
+def test_scheduler_copies_the_callers_choices():
+    # freezing its own copy leaves the caller's array writable
+    choices = np.array([1, 0, 0, 0, 0])
+    scheduler = sr.Scheduler(choices)
+    choices[0] = 0
+    assert scheduler.choice_of.tolist() == [1, 0, 0, 0, 0]
+    assert not scheduler.choice_of.flags.writeable
+
+
 def test_partition_masks_must_partition():
     s0 = np.array([True, False])
     goal = np.array([False, True])
