@@ -306,11 +306,16 @@ class QuotientMap:
     model: SparseModel
     state_map: np.ndarray  # original state -> quotient state
     partition: Partition
+    source_choices: int  # choice count of the collapsed model
 
     @property
     def is_identity(self) -> bool:
-        return self.model.num_states == len(self.state_map) and bool(
-            np.all(self.state_map == np.arange(len(self.state_map)))
+        """Whether the collapse changed nothing: every state kept its number
+        and no choice was dropped."""
+        return (
+            self.model.num_states == len(self.state_map)
+            and self.model.num_choices == self.source_choices
+            and bool(np.all(self.state_map == np.arange(len(self.state_map))))
         )
 
 
@@ -330,7 +335,7 @@ def collapse_end_components(model: SparseModel, partition: Partition) -> Quotien
     members = np.flatnonzero(mec_of >= 0)
     if not len(members):
         identity = np.arange(model.num_states, dtype=np.int64)
-        return QuotientMap(model=model, state_map=identity, partition=partition)
+        return QuotientMap(model, identity, partition, model.num_choices)
 
     # Quotient states are numbered by their lowest member: a running count of
     # the states that are their own lowest member.
@@ -350,7 +355,7 @@ def collapse_end_components(model: SparseModel, partition: Partition) -> Quotien
         goal=_map_mask(partition.goal, state_map, num_quotient),
         maybe=_map_mask(partition.maybe, state_map, num_quotient),
     )
-    return QuotientMap(model=quotient, state_map=state_map, partition=new_partition)
+    return QuotientMap(quotient, state_map, new_partition, model.num_choices)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +374,7 @@ def reach_partition(model: SparseModel, goal: np.ndarray, direction: Direction) 
     goal = _state_mask(model, goal)
     zero = prob0_max if direction is Direction.MAXIMIZE else prob0_min
     s0 = zero(model, goal) & ~goal
-    return Partition(s0=s0, goal=goal.copy(), maybe=~(s0 | goal))
+    return Partition(s0=s0, goal=goal, maybe=~(s0 | goal))
 
 
 def reward_partition(model: SparseModel, goal: np.ndarray) -> Partition:
@@ -377,6 +382,6 @@ def reward_partition(model: SparseModel, goal: np.ndarray) -> Partition:
     goal = _state_mask(model, goal)
     return Partition(
         s0=np.zeros(model.num_states, dtype=bool),
-        goal=goal.copy(),
+        goal=goal,
         maybe=~goal,
     )

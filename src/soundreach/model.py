@@ -169,7 +169,8 @@ class Partition:
     """Disjoint split of the state space into sure-zero, goal, and undecided.
 
     ``s0``/``goal``/``maybe`` are boolean masks over the states.  They must be
-    pairwise disjoint and together cover every state.
+    pairwise disjoint and together cover every state.  The partition holds
+    frozen copies, so the caller's arrays stay writable.
     """
 
     s0: np.ndarray
@@ -187,7 +188,7 @@ class Partition:
             arr = getattr(self, name)
             if arr.dtype != bool:
                 raise ValueError(f"partition mask {name} must be boolean")
-            _freeze(arr)
+            object.__setattr__(self, name, _freeze(arr.copy()))
 
     @property
     def maybe_states(self) -> np.ndarray:

@@ -593,6 +593,21 @@ def test_collapse_component_without_exit_is_an_empty_row_group():
         sr.collapse_end_components(m, sr.reward_partition(m, goal))
 
 
+def test_collapse_that_drops_a_choice_is_not_identity():
+    # state 0's self-loop is a one-state end component: its number stays,
+    # but the loop is dropped (3 -> 2 choices)
+    m = sr.validate_model([[{0: 1.0}, {1: 1.0}], [{1: 1.0}]])
+    partition = sr.Partition(
+        s0=np.array([False, False]),
+        goal=np.array([False, True]),
+        maybe=np.array([True, False]),
+    )
+    quotient = sr.collapse_end_components(m, partition)
+    np.testing.assert_array_equal(quotient.state_map, [0, 1])
+    assert quotient.model.num_choices == 2
+    assert not quotient.is_identity
+
+
 def test_collapse_searches_the_undecided_states_only():
     # 0 -> 1 -> 0 is an end component through the goal 1, which is not
     # absorbing here; only the undecided state 0 is searched, and its
@@ -622,6 +637,7 @@ def test_collapse_random_models_preserve_oracle():
         partition = sr.reach_partition(absorbed, goal, sr.Direction.MAXIMIZE)
         quotient = sr.collapse_end_components(absorbed, partition)
         if quotient.is_identity:
+            assert quotient.model == absorbed
             continue
         checked += 1
         original = sr.oracle_solve(

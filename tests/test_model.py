@@ -249,6 +249,19 @@ def test_partition_masks_must_partition():
         sr.Partition(s0=s0, goal=goal, maybe=np.array([False]))
 
 
+def test_partition_copies_the_callers_masks():
+    # freezing its own copies leaves the caller's arrays writable
+    s0 = np.array([True, False, False])
+    goal = np.array([False, True, False])
+    maybe = np.array([False, False, True])
+    partition = sr.Partition(s0=s0, goal=goal, maybe=maybe)
+    s0[0], goal[0], maybe[0] = False, True, True
+    assert partition.s0.tolist() == [True, False, False]
+    assert partition.goal.tolist() == [False, True, False]
+    assert partition.maybe.tolist() == [False, False, True]
+    assert not any(m.flags.writeable for m in (partition.s0, partition.goal, partition.maybe))
+
+
 def test_direction_and_enum_parsing():
     assert sr.Direction.parse("max") is sr.Direction.MAXIMIZE
     assert sr.Direction.parse("min") is sr.Direction.MINIMIZE

@@ -7,6 +7,7 @@ import pytest
 
 import soundreach as sr
 from conftest import random_model
+from soundreach import variants
 
 
 def prepared(model, direction=sr.Direction.MAXIMIZE, objective=sr.Objective.PROBABILITY):
@@ -17,11 +18,19 @@ def prepared(model, direction=sr.Direction.MAXIMIZE, objective=sr.Objective.PROB
     return absorbed, sr.reach_partition(absorbed, goal, direction)
 
 
+@pytest.fixture
+def per_component(monkeypatch):
+    """Blocks of one component each: every component runs on its own, so
+    the sweep counts and partial results below pin per-component mechanics."""
+    monkeypatch.setattr(variants, "_BLOCK_ENTRIES", 1)
+
+
 # ---------------------------------------------------------------------------
 # component-by-component solving
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("per_component")
 def test_topological_acyclic_is_exact():
     # a diamond with no cycles: every component is a single pass
     model = sr.validate_model(
@@ -106,21 +115,25 @@ def test_topological_needs_svi_config():
         sr.SolverConfig(method=sr.Method.VI, topological=True).validated()
 
 
-def test_topological_matches_oracle_randomized():
-    rng = np.random.default_rng(123)
-    for _ in range(30):
-        model, goal = random_model(rng)
-        res = sr.solve(
-            model, goal,
-            sr.SolverConfig(epsilon=1e-8, topological=True),
-        )
-        absorbed = sr.make_absorbing(model, goal)
-        part = sr.reach_partition(absorbed, goal, sr.Direction.MAXIMIZE)
-        quotient = sr.collapse_end_components(absorbed, part)
-        oracle = sr.oracle_solve(quotient.model, quotient.partition)
-        want = oracle[quotient.state_map[model.initial_state]]
-        assert res.value == pytest.approx(want, abs=1e-8)
-        assert res.lower - 1e-12 <= want <= res.upper + 1e-12
+def test_topological_matches_oracle_randomized(monkeypatch):
+    # at the default threshold each small model is one block; at 1 every
+    # component is its own block
+    for block_entries in (variants._BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(variants, "_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(123)
+        for _ in range(30):
+            model, goal = random_model(rng)
+            res = sr.solve(
+                model, goal,
+                sr.SolverConfig(epsilon=1e-8, topological=True),
+            )
+            absorbed = sr.make_absorbing(model, goal)
+            part = sr.reach_partition(absorbed, goal, sr.Direction.MAXIMIZE)
+            quotient = sr.collapse_end_components(absorbed, part)
+            oracle = sr.oracle_solve(quotient.model, quotient.partition)
+            want = oracle[quotient.state_map[model.initial_state]]
+            assert res.value == pytest.approx(want, abs=1e-8)
+            assert res.lower - 1e-12 <= want <= res.upper + 1e-12
 
 
 def acyclic_mdp(rng, states=8):
@@ -140,6 +153,7 @@ def acyclic_mdp(rng, states=8):
     return sr.validate_model(choices, labels={"init": [0], "goal": [states]})
 
 
+@pytest.mark.usefixtures("per_component")
 @pytest.mark.parametrize("direction", [sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE])
 def test_topological_acyclic_mdp_takes_one_sweep_per_state(direction):
     rng = np.random.default_rng(31)
@@ -182,6 +196,7 @@ def cycle_chain(cycles=6, size=3, seed=7):
     return sr.validate_model(choices, labels={"init": [0], "goal": [goal]})
 
 
+@pytest.mark.usefixtures("per_component")
 @pytest.mark.parametrize(
     "direction,sweeps", [(sr.Direction.MAXIMIZE, 804), (sr.Direction.MINIMIZE, 728)]
 )
@@ -197,6 +212,39 @@ def test_topological_cycle_chain_sweeps(direction, sweeps):
     # each value is within epsilon of the true one, so of each other within 2 * epsilon
     assert abs(topo.value - flat.value) < 2 * epsilon
     assert max(topo.lower, flat.lower) <= min(topo.upper, flat.upper)
+
+
+@pytest.mark.parametrize(
+    "direction,sweeps", [(sr.Direction.MAXIMIZE, 253), (sr.Direction.MINIMIZE, 238)]
+)
+def test_topological_cycle_chain_block_sweeps(direction, sweeps):
+    # the chain's 108 kept entries make one block, which sweeps about as
+    # often as the flat solve (229 and 238 sweeps)
+    epsilon = 1e-6
+    model = cycle_chain()
+    config = sr.SolverConfig(direction=direction, epsilon=epsilon, topological=True)
+    topo = sr.solve(model, "goal", dataclasses.replace(config, record_trace=True))
+    flat = sr.solve(model, "goal", sr.SolverConfig(direction=direction, epsilon=epsilon))
+    assert topo.iterations == sweeps
+    assert len(topo.trace) == 1  # one row per block
+    assert topo.upper - topo.lower < 2 * epsilon
+    assert abs(topo.value - flat.value) < 2 * epsilon
+    assert max(topo.lower, flat.lower) <= min(topo.upper, flat.upper)
+
+
+def test_topological_large_components_are_their_own_blocks(monkeypatch):
+    # 400 states of 2 choices and 3 entries each: every cycle holds 2,400
+    # kept entries, at least the threshold, so blocking changes nothing
+    model = cycle_chain(cycles=3, size=400, seed=11)
+    config = sr.SolverConfig(epsilon=1e-8, topological=True, record_trace=True)
+    blocked = sr.solve(model, "goal", config)
+    monkeypatch.setattr(variants, "_BLOCK_ENTRIES", 1)
+    single = sr.solve(model, "goal", config)
+    assert len(blocked.trace) == 3
+    assert (blocked.value, blocked.lower, blocked.upper, blocked.iterations) == (
+        single.value, single.lower, single.upper, single.iterations
+    )
+    assert blocked.trace == single.trace
 
 
 def test_topological_refuses_a_hook(two_route_mdp):
@@ -217,6 +265,7 @@ def test_topological_refuses_a_hook(two_route_mdp):
     assert calls == []
 
 
+@pytest.mark.usefixtures("per_component")
 def test_topological_iteration_limit_carries_a_partial_result(two_route_mdp):
     model, part = prepared(two_route_mdp)
     config = sr.SolverConfig(topological=True, max_iterations=1)
@@ -239,6 +288,7 @@ def test_topological_iteration_limit_carries_a_partial_result(two_route_mdp):
     assert not partial.sound
 
 
+@pytest.mark.usefixtures("per_component")
 def test_topological_reward_iteration_limit_starts_unbounded():
     model = sr.validate_model(
         [[{0: 0.5, 1: 0.5}], [{2: 0.5, 1: 0.5}], [{2: 1.0}]],
