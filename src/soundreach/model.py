@@ -8,8 +8,8 @@ exactly once, bit for bit, in the one validation core ``_build_model``.  It
 takes flat entry arrays in input order, which ``validate_model`` reads from
 nested lists and ``explicit.load_model`` from files.  ``submodel`` builds
 every derived model (``make_absorbing``, ``induce_mc``, end-component
-quotients, the topological solve's relabelled model) by copying rows that
-are already validated.
+quotients) by copying rows that are already validated.  Both merge
+duplicate targets by one rule, ``_merged``.
 """
 
 from __future__ import annotations
@@ -321,6 +321,33 @@ def _run_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np
     return out
 
 
+def _merged(
+    entry_choice: np.ndarray,
+    entry_target: np.ndarray,
+    entry_prob: np.ndarray,
+    lengths: np.ndarray,
+    num_states: int,
+) -> tuple:
+    """The one merge rule: entries sorted by ``(choice, target)``, duplicate
+    targets summed left to right in entry order.
+
+    Returns ``(targets, probs, lengths, first)``; ``lengths[c]`` counts
+    choice ``c``'s entries (before the merge in the arguments) and
+    ``first[i]`` is the entry where merged entry ``i`` first appears.
+    Entries already sorted without duplicates come back as they are, with
+    ``first`` None.
+    """
+    key = entry_choice * num_states + entry_target
+    if (key[1:] > key[:-1]).all():
+        return entry_target, entry_prob, lengths, None
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    merged = _run_sums(entry_prob[order], first, np.diff(first, append=len(key)))
+    owner, targets = np.divmod(key[first], num_states)
+    return targets, merged, np.bincount(owner, minlength=len(lengths)), order[first]
+
+
 def _build_model(
     sizes: np.ndarray,
     entry_choice: np.ndarray,
@@ -376,17 +403,11 @@ def _build_model(
     if np.count_nonzero(lengths) < num_choices:
         raise EmptyRowGroup(f"{where(np.argmin(lengths))} has no transition")
 
-    key = entry_choice * num_states + entry_target
-    if (key[1:] > key[:-1]).all():  # sorted within each choice, no duplicates
-        targets, merged, in_order = entry_target, entry_prob, entry_prob
-    else:  # the stable sort keeps duplicates in entry order for the merge
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        merged = _run_sums(entry_prob[order], first, np.diff(first, append=len(key)))
-        owner, targets = np.divmod(key[first], num_states)
-        lengths = np.bincount(owner, minlength=num_choices)
-        in_order = merged[np.lexsort((order[first], owner))]  # by first appearance
+    targets, merged, lengths, first = _merged(
+        entry_choice, entry_target, entry_prob, lengths, num_states
+    )
+    # each row is summed in the order its targets first appear
+    in_order = merged if first is None else merged[np.lexsort((first, entry_choice[first]))]
     choice_start = np.zeros(num_choices + 1, np.int64)
     lengths.cumsum(out=choice_start[1:])
     row_sum = _run_sums(in_order, choice_start[:-1], lengths)
@@ -478,11 +499,11 @@ def submodel(
     old choice ``pick[i]`` with its reward and action name; where
     ``pick[i] < 0`` it is a reward-free, unnamed self-loop of its owner.
     ``state_map`` (old state -> new state), when given, relabels targets,
-    labels and the initial state; where it merges targets of one choice,
-    their probabilities are summed in entry order.  Rows are copied as they
-    are and never renormalized, so picking every choice of ``model`` returns
-    a model equal to it bit for bit.  A new state that owns no choice raises
-    :class:`EmptyRowGroup`.
+    labels and the initial state, and ``_merged`` then sorts and merges the
+    targets of each choice as ``_build_model`` does.  Rows are copied as
+    they are and never renormalized, so picking every choice of ``model``
+    returns a model equal to it bit for bit.  A new state that owns no
+    choice raises :class:`EmptyRowGroup`.
     """
     sizes = np.bincount(owner, minlength=num_states)
     if not sizes.all():
@@ -499,19 +520,13 @@ def submodel(
         targets = state_map[targets]
         labels = {k: _map_mask(v, state_map, num_states) for k, v in labels.items()}
         initial_state = int(state_map[initial_state])
-    choice_start = np.concatenate(([0], lengths.cumsum()))
-    targets[choice_start[:-1][loop]] = owner[loop]
-    probs[choice_start[:-1][loop]] = 1.0
+    heads = (lengths.cumsum() - lengths)[loop]
+    targets[heads] = owner[loop]
+    probs[heads] = 1.0
     if state_map is not None:
-        # Sort by (choice, target); the stable sort keeps duplicates in entry
-        # order, and they are summed left to right in that order.
-        key = np.arange(len(pick)).repeat(lengths) * num_states + targets
-        order = np.argsort(key, kind="stable")
-        key, probs = key[order], probs[order]
-        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        run = np.diff(np.append(first, len(key)))
-        targets, probs = key[first] % num_states, _run_sums(probs, first, run)
-        choice_start = np.searchsorted(key[first], np.arange(len(pick) + 1) * num_states)
+        choice = np.arange(len(pick)).repeat(lengths)
+        targets, probs, lengths, _ = _merged(choice, targets, probs, lengths, num_states)
+    choice_start = np.concatenate(([0], lengths.cumsum()))
 
     names = model.choice_labels
     if names is not None:

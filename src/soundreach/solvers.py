@@ -42,7 +42,7 @@ from .errors import (
     TooLargeForOracle,
 )
 from .model import (
-    Direction, Partition, SparseModel, _ValueEnum, _checked_choices, make_absorbing,
+    Direction, Partition, SparseModel, _ValueEnum, _checked_choices, _ranges, make_absorbing,
 )
 
 __all__ = [
@@ -181,13 +181,15 @@ class _Kernels:
     """The iteration kernels and the one layout of their vectors.
 
     Vectors are in *live-first* order: the ``m`` undecided states of the
-    partition in ascending order, then every other state in ascending
-    order (``order[i]`` is the state at position ``i``, ``position`` the
-    inverse).  Only the undecided states' choices are kept; their entries
-    stay in model order with targets renumbered into live-first order, so
-    every per-choice sum adds the products the whole model would add, in
-    the same order (goal entries are not folded into a per-choice constant,
-    which would reorder the sums and move results by an ulp).  Positions
+    partition, then every other state, each part sorted stably by ``key``
+    (ascending state order without one; ``order[i]`` is the state at
+    position ``i``, ``position`` the inverse).  A ``key`` must be lower at
+    every undecided state than at any decided one.  Only the undecided
+    states' choices are kept, in position order; each choice's entries stay
+    in model order with targets renumbered into live-first order, so every
+    per-choice sum adds the products the whole model would add, in the same
+    order (goal entries are not folded into a per-choice constant, which
+    would reorder the sums and move results by an ulp).  Positions
     ``m:`` hold the fixed values of the decided states, as in
     ``x_start``/``y_start`` (the goal value at goal states, 0 at sure-zero
     states, ``y = 0`` at both), and no step writes them.  Choice indices
@@ -209,10 +211,11 @@ class _Kernels:
         partition: Partition,
         objective: Objective,
         direction: Direction,
+        key: np.ndarray | None = None,
     ):
         maybe = partition.maybe
         n = model.num_states
-        self.order = np.argsort(~maybe, kind="stable")
+        self.order = np.argsort(~maybe if key is None else key, kind="stable")
         self.m = m = int(np.count_nonzero(maybe))
         self.live = self.order[:m]
         self.position = np.empty(n, dtype=np.int64)
@@ -220,17 +223,16 @@ class _Kernels:
 
         self.is_mc = model.is_mc
         groups, starts = model.row_group_start, model.choice_start
-        sizes = groups[1:] - groups[:-1]
-        kept = np.repeat(maybe, sizes)
-        lengths = starts[1:] - starts[:-1]
-        entries = np.repeat(kept, lengths)
+        first, end = groups[self.live], groups[self.live + 1]
+        kept = _ranges(first, end - first)
+        entries = _ranges(starts[first], starts[end] - starts[first])
         self.targets = self.position[model.entry_target[entries]]
         self.probs = model.entry_prob[entries]
-        lengths = lengths[kept]
+        lengths = np.diff(starts)[kept]
         self.choice_cuts = lengths.cumsum() - lengths
         self.num_choices = len(lengths)
         self.rewards = model.choice_reward[kept] if objective is Objective.REWARD else None
-        self._index_groups(sizes[self.live])
+        self._index_groups(end - first)
 
         goal_value = 1.0 if objective is Objective.PROBABILITY else 0.0
         self.x_start = partition.goal[self.order] * goal_value
@@ -387,7 +389,10 @@ class _Kernels:
         eligible = (y_delta > 0.0).nonzero()[0]
         if not eligible.size:
             return decision
-        ratios = (cx[eligible] - cx[held[eligible]]) / y_delta[eligible]
+        # a subnormal y_delta can overflow a ratio to +-inf: the exact limit
+        # of a crossing point beyond every double, so it stays
+        with np.errstate(over="ignore"):
+            ratios = (cx[eligible] - cx[held[eligible]]) / y_delta[eligible]
         if self.maximize:
             return max(decision, float(ratios.max()))
         return min(decision, float(ratios.min()))

@@ -1,25 +1,25 @@
 """The SCC-by-SCC topological solve, run block by block.
 
-The model is relabelled once so that its undecided states come first,
-predecessors first, one strongly connected component after another.  The
-kernels' live-first order is then the component order, and every
-component's successors sit at later positions.  Consecutive components
-are merged into *blocks*, each closed once it holds ``_BLOCK_ENTRIES``
-kept entries (a component that large is a block of its own), so a block
-is a contiguous position range and every transition leaving it goes to a
-later position.  Each block runs on a slice of the one kernel
-(``_Kernels.part``) that steps the views ``v[lo:]`` of three global
-vectors.  Blocks run successors first, each a coupled iteration with
-*two* value accumulators sharing one stay-probability and one choice
-resolution.  What leaving the block is worth is read from fixed vector
-entries: a solved block holds its certified lower and upper bounds in the
-two accumulators with ``y = 0``.  So the accumulators differ only in
-those exit values, and their certified intervals bracket the block's true
-values: the certified loop holds on any sub-model whose exits carry fixed
-values.  The accumulator the query direction optimizes takes the
-certified loop's own step and both share its bound update.  A block
-without cycles finishes in at most as many sweeps as one path through it
-has states, since every successor outside it has ``y = 0``.
+The one kernel of the model is built with a sort key for its live-first
+order, the rank of each undecided state's strongly connected component: its
+undecided states come first, predecessors first, one component after
+another, so every component's successors sit at later positions.
+Consecutive components are merged into *blocks*, each closed once it holds
+``_BLOCK_ENTRIES`` kept entries (a component that large is a block of its
+own), so a block is a contiguous position range and every transition
+leaving it goes to a later position.  Each block runs on a slice of the one
+kernel (``_Kernels.part``) that steps the views ``v[lo:]`` of three global
+vectors.  Blocks run successors first, each a coupled iteration with *two*
+value accumulators sharing one stay-probability and one choice resolution.
+What leaving the block is worth is read from fixed vector entries: a solved
+block holds its certified lower and upper bounds in the two accumulators
+with ``y = 0``.  So the accumulators differ only in those exit values, and
+their certified intervals bracket the block's true values: the certified
+loop holds on any sub-model whose exits carry fixed values.  The
+accumulator the query direction optimizes takes the certified loop's own
+step and both share its bound update.  A block without cycles finishes in
+at most as many sweeps as one path through it has states, since every
+successor outside it has ``y = 0``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .analysis import scc_order
 # validate_model stays imported: perfbench/tracing.py wraps it here.
-from .model import Direction, Partition, SparseModel, _ranges, submodel, validate_model
+from .model import Direction, Partition, SparseModel, validate_model
 from .solvers import (
     Method,
     Objective,
@@ -55,32 +55,6 @@ __all__ = ["topological_solve"]
 #: cycle-chain models 1,024 and 4,096 measured within noise of this, and
 #: 8,192 lost.
 _BLOCK_ENTRIES = 2048
-
-
-def _component_layout(
-    model: SparseModel, partition: Partition
-) -> tuple[SparseModel, Partition, list]:
-    """``model`` and ``partition`` relabelled so that the undecided states
-    come first, predecessors first and component by component (ascending
-    within one), then every other state ascending; and the first position
-    of each component's undecided states, successors first."""
-    n = model.num_states
-    component_of = scc_order(model).component_of
-    count = int(component_of.max()) + 1
-    key = np.where(partition.maybe, count - 1 - component_of, count)
-    order = np.argsort(key, kind="stable")
-    state_map = np.empty(n, dtype=np.int64)
-    state_map[order] = np.arange(n)
-    sizes = model.group_sizes()[order]
-    owner = np.repeat(np.arange(n), sizes)
-    relabelled = submodel(model, owner, _ranges(model.row_group_start[order], sizes), n, state_map)
-    relabelled_partition = Partition(
-        partition.s0[order], partition.goal[order], partition.maybe[order]
-    )
-    counts = np.bincount(key[partition.maybe])
-    members = counts[counts > 0]
-    starts = members.cumsum() - members
-    return relabelled, relabelled_partition, starts[::-1].tolist()
 
 
 def _blocks(starts: list, kern: _Kernels) -> list:
@@ -131,8 +105,11 @@ def topological_solve(
         return short
 
     started = time.perf_counter()
-    model, partition, starts = _component_layout(model, partition)
-    kern = _Kernels(model, partition, config.objective, config.direction)
+    # undecided states first, predecessors first, component by component
+    component_of = scc_order(model).component_of
+    key = np.where(partition.maybe, component_of.max() - component_of, model.num_states)
+    kern = _Kernels(model, partition, config.objective, config.direction, key)
+    starts = np.flatnonzero(np.diff(key[kern.live], prepend=-1))[::-1].tolist()
     maximize = config.direction is Direction.MAXIMIZE
     x_low, x_high, y = kern.x_start.copy(), kern.x_start.copy(), kern.y_start.copy()
     x_drive, x_follow = (x_high, x_low) if maximize else (x_low, x_high)

@@ -2,6 +2,7 @@
 bounds, the solver engines, and the brute-force oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -483,6 +484,41 @@ def test_column_selection_on_uneven_degrees():
         kern = _Kernels(model, partition, sr.Objective.PROBABILITY, sr.Direction.MAXIMIZE)
         assert kern.columns == []
         assert_kernels_match_references(kern, rng)
+
+
+def test_keyed_order_permutes_the_ascending_kernels():
+    # A sort key only reorders the undecided states and their choices: every
+    # per-choice sum keeps its entry order, so results match bit for bit.
+    rng = np.random.default_rng(4242)
+    keys = np.random.default_rng(5)
+    for _ in range(320):
+        model, _ = random_model(rng)
+        n = model.num_states
+        for objective in (sr.Objective.PROBABILITY, sr.Objective.REWARD):
+            for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
+                absorbed, part = prepared(model, direction, objective)
+                plain = _Kernels(absorbed, part, objective, direction)
+                key = np.where(part.maybe, keys.permutation(n), n)
+                keyed = _Kernels(absorbed, part, objective, direction, key)
+                np.testing.assert_array_equal(keyed.live, np.argsort(key)[: keyed.m])
+                states = plain.position[keyed.live]  # keyed position -> plain position
+                choices = np.repeat(plain.group_cuts[states] - keyed.group_cuts, keyed.group_sizes)
+                choices += np.arange(keyed.num_choices)  # keyed choice -> plain choice
+                x, y = rng.random(n), rng.random(n) * part.maybe
+                xp, yp = plain.to_kernel(x), plain.to_kernel(y)
+                xk, yk = keyed.to_kernel(x), keyed.to_kernel(y)
+                assert_same_floats(keyed.choice_x(xk), plain.choice_x(xp)[choices])
+                assert_same_floats(keyed.choice_y(yk), plain.choice_y(yp)[choices])
+                assert_same_floats(keyed.bellman(xk), plain.bellman(xp)[states])
+                neutral = neutral_decision(direction)
+                for bound in (0.0, 0.5, 1.0, INF):
+                    xp2, yp2, xk2, yk2 = xp.copy(), yp.copy(), xk.copy(), yk.copy()
+                    chosen_p, decision_p = plain.coupled_step(xp2, yp2, bound, neutral)
+                    chosen_k, decision_k = keyed.coupled_step(xk2, yk2, bound, neutral)
+                    np.testing.assert_array_equal(choices[chosen_k], chosen_p[states])
+                    assert decision_k == decision_p
+                    assert_same_floats(keyed.to_model(xk2), plain.to_model(xp2))
+                    assert_same_floats(keyed.to_model(yk2), plain.to_model(yp2))
 
 
 def test_many_choices_certify_against_the_oracle():
@@ -993,6 +1029,31 @@ def test_solve_certifies_the_fault_models(n, seed, sink_share, cap):
     # the linear solves of the reference round too (F1: 1 + 2.4e-15)
     assert res.lower - 1e-12 <= truth <= res.upper + 1e-12, (res.lower, truth, res.upper)
     assert res.upper - res.lower < 2 * epsilon
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("topological", [False, True])
+def test_decision_value_over_a_subnormal_mass_gap(topological):
+    # State 0 certifies only after about 12,000 sweeps.  State 1's stay
+    # mass halves each sweep, so from sweep 1,024 on its two choices differ
+    # in y by a subnormal amount and their crossing point overflows.
+    model = sr.validate_model(
+        [
+            [{0: 0.999, 2: 0.0005, 3: 0.0005}],
+            [{1: 0.5, 2: 0.5}, {1: 0.25, 2: 0.25, 3: 0.5}],
+            [{2: 1.0}],
+            [{3: 1.0}],
+        ],
+        labels={"init": [0], "goal": [2]},
+    )
+    stay, goal, _ = map(Fraction, model.entries_of(0)[1].tolist())
+    truth = goal / (1 - stay)  # 0.5 + 5.5e-14 after renormalization
+    config = sr.SolverConfig(topological=topological)
+    res = sr.solve(model, "goal", config)
+    # lower is rounded to nearest and here lands one ulp above the truth
+    assert res.sound and res.lower - math.ulp(0.5) <= truth <= res.upper
+    assert abs(res.value - 0.5) <= config.epsilon
+    assert res.upper - res.lower < 2 * config.epsilon
 
 
 def test_svi_solve_itself_keeps_the_unbounded_start():
