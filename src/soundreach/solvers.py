@@ -85,9 +85,10 @@ class SolverConfig:
     ``lower``/``upper`` are optional scalar initial bounds valid for every
     undecided state.  ``solve`` starts svi probability queries at ``[0, 1]``
     intersected with these bounds; ``svi_solve`` itself starts a missing
-    bound at infinity, and interval iteration starts probabilities at 0 and
-    1.  ``epsilon`` is the absolute precision: certified methods stop once
-    the certified interval at the initial state is narrower than
+    bound at infinity, the topological mode starts every block at these
+    bounds, and interval iteration starts probabilities at 0 and 1.
+    ``epsilon`` is the absolute precision: certified methods stop once the
+    certified interval at the initial state is narrower than
     ``2 * epsilon`` and report its midpoint, so the result is within
     ``epsilon`` of the true value.
     """
@@ -512,7 +513,7 @@ def decision_value(
     place for good.  The selection rule of ``find_action`` (ties to the
     smallest y-expectation) leaves no tied alternative with a smaller
     y-expectation, so exact ties never contribute.  Near-ties at rounding
-    scale still can; see ROADMAP direction 1.
+    scale still can.
     """
     kern = _one_state_kernels(model, state, objective, direction)
     cx, cy = kern.choice_x(kern.to_kernel(x)), kern.choice_y(kern.to_kernel(y))
@@ -559,8 +560,8 @@ def _tighten_bounds(
     accumulators sharing ``y``.
 
     ``lower`` rises to the smallest ratio ``x_low / (1 - y)`` and ``upper``
-    falls to the largest ratio ``x_high / (1 - y)``; flat runs pass the same
-    vector twice, the topological engine its low and high accumulators.
+    falls to the largest ratio ``x_high / (1 - y)``; a one-block run passes
+    the same vector twice, a run of more blocks its low and high accumulators.
     """
     if y.size == 0 or y.max() >= 1.0:
         return lower, upper
@@ -633,9 +634,10 @@ def svi_solve(
     ``y[init]`` hits zero, in which case ``x[init]`` is the exact answer —
     and returns the midpoint of the certified interval at the initial state.
     A bound the configuration leaves out starts at infinity, as in the
-    paper; a probability result is clipped into ``[0, 1]``.  With
-    ``config.topological`` it runs ``variants.topological_solve``, which
-    takes no ``on_iteration`` hook: passing one raises ``ConfigError``.
+    paper; a probability result is clipped into ``[0, 1]``.  This is the
+    one-block case of ``_certify``.  With ``config.topological`` it runs
+    ``variants.topological_solve``, which takes no ``on_iteration`` hook:
+    passing one raises ``ConfigError``.
     """
     config = replace(config, method=Method.SVI).validated()
     if config.topological:
@@ -648,57 +650,117 @@ def svi_solve(
     short = _shortcut(model, partition, config)
     if short is not None:
         return short
-
     started = time.perf_counter()
     kern = _Kernels(model, partition, config.objective, config.direction)
+    return _certify(model, kern, [(0, kern.m)], config, started, on_iteration)
+
+
+def _certify(
+    model: SparseModel,
+    kern: _Kernels,
+    blocks: list,
+    config: SolverConfig,
+    started: float,
+    on_iteration=None,
+) -> SolveResult:
+    """The certified loop, run on ``blocks``: ``(lo, hi)`` ranges of
+    undecided positions, successors first, each of whose transitions leaves
+    it only for a later position.
+
+    The loop holds on any set of undecided states whose exits carry fixed
+    values, so every block runs it unchanged: from the configuration's start
+    bounds, with its own bounds and decision value.  With more than one
+    block there are *two* value accumulators sharing one stay-probability
+    and one choice resolution.  A settled block holds its certified lower
+    and upper bounds in them with ``y = 0``, so the accumulators differ only
+    in what leaving a block is worth, and their certified intervals bracket
+    the true values.  The one the query direction optimizes takes the loop's
+    own step.  With one block every exit is a decided state with an exact
+    value, and one accumulator serves.
+
+    The block holding the initial state stops once ``y[init]`` is 0 or its
+    interval ``x + y * [lower, upper]`` is narrower than ``2 * epsilon``;
+    the blocks after it cannot be reached from it and are skipped.  Every
+    other block stops once ``y`` is 0 on it or its widest per-state interval
+    is narrower than ``2 * epsilon``, and settles to those intervals.  A
+    block without cycles takes at most as many sweeps as one path through
+    it has states.  The trace gets one row per sweep, and ``on_iteration``
+    (for one block only) one snapshot.  The result,
+    also the partial one of :class:`IterationLimit`, is the initial state's
+    interval: the start bounds until its block runs.
+    """
     maximize = config.direction is Direction.MAXIMIZE
     initial = int(kern.position[model.initial_state])
-    lower = config.lower if config.lower is not None else -math.inf
-    upper = config.upper if config.upper is not None else math.inf
-    decision = neutral_decision(config.direction)
-    x = kern.x_start.copy()
-    y = kern.y_start.copy()
-    x_live, y_live = x[: kern.m], y[: kern.m]
+    start_lower = config.lower if config.lower is not None else -math.inf
+    start_upper = config.upper if config.upper is not None else math.inf
+    neutral = neutral_decision(config.direction)
+    x_low, y = kern.x_start.copy(), kern.y_start.copy()
+    x_high = x_low if len(blocks) == 1 else kern.x_start.copy()
+    x_drive, x_follow = (x_high, x_low) if maximize else (x_low, x_high)
     trace: list[TraceRow] | None = [] if config.record_trace else None
     previous = (
-        IterationState(0, kern.to_model(x), kern.to_model(y), lower, upper, decision, None)
+        IterationState(
+            0, kern.to_model(x_low), kern.to_model(y), start_lower, start_upper, neutral, None
+        )
         if on_iteration
         else None
     )
     threshold = 2.0 * config.epsilon
     k = 0
-    converged = False
-    while not converged and k < config.max_iterations:
-        k += 1
-        bound = upper if maximize else lower
-        chosen, decision = kern.coupled_step(x, y, bound, decision)
-        lower, upper = _tighten_bounds(
-            x_live, x_live, y_live, lower, upper, decision, maximize
-        )
-        y0 = float(y[initial])
-        if trace is not None:
-            trace.append(TraceRow(k, lower, upper, decision, y0))
-        if on_iteration is not None:
-            state = IterationState(
-                k, kern.to_model(x), kern.to_model(y), lower, upper, decision,
-                None if kern.is_mc else kern.scheduler(chosen),
-            )
-            on_iteration(state, previous)
-            previous = state
-        converged = y0 == 0.0 or (
-            math.isfinite(lower)
-            and math.isfinite(upper)
-            and y0 * (upper - lower) < threshold
-        )
+    for lo, hi in blocks:
+        part = kern if hi - lo == kern.m else kern.part(lo, hi)
+        drive, follow, y_tail = x_drive[lo:], x_follow[lo:], y[lo:]
+        low, y_part = x_low[lo:hi], y[lo:hi]
+        high = low if x_high is x_low else x_high[lo:hi]
+        holds_initial = lo <= initial < hi
+        lower, upper, decision = start_lower, start_upper, neutral
+        done = False
+        while not done and k < config.max_iterations:
+            k += 1
+            bound = upper if maximize else lower
+            chosen, decision = part.coupled_step(drive, y_tail, bound, decision)
+            if x_follow is not x_drive:
+                follow[: hi - lo] = part.choice_x(follow)[chosen]
+            lower, upper = _tighten_bounds(low, high, y_part, lower, upper, decision, maximize)
+            y0 = float(y[initial])
+            if trace is not None:
+                trace.append(TraceRow(k, lower, upper, decision, y0))
+            if on_iteration is not None:
+                state = IterationState(
+                    k, kern.to_model(x_low), kern.to_model(y), lower, upper, decision,
+                    None if kern.is_mc else kern.scheduler(chosen),
+                )
+                on_iteration(state, previous)
+                previous = state
+            finite = math.isfinite(lower) and math.isfinite(upper)
+            if holds_initial:
+                width = y0 * (upper - lower) if finite else math.inf
+                if x_high is not x_low:
+                    width += float(x_high[initial] - x_low[initial])
+                done = y0 == 0.0 or width < threshold
+            elif y_part.max() == 0.0:
+                done = True
+            elif finite:
+                member_low = low + y_part * lower
+                member_high = high + y_part * upper
+                if (member_high - member_low).max() < threshold:
+                    low[:], high[:], y_part[:] = member_low, member_high, 0.0
+                    done = True
+        converged = done and holds_initial
+        if not done or holds_initial:
+            break
 
     elapsed = (time.perf_counter() - started) * 1000.0
+    if not holds_initial:
+        lower, upper = start_lower, start_upper
     # the interval x + y * [lower, upper] at the initial state, exactly x once y is 0
-    x0, y0 = float(x[initial]), float(y[initial])
+    x0_low, x0_high, y0 = float(x_low[initial]), float(x_high[initial]), float(y[initial])
+    x0 = x0_low if x0_low == x0_high else (x0_low + x0_high) / 2.0
     if y0 == 0.0:
-        value = lo = hi = x0
+        value, lo, hi = x0, x0_low, x0_high
     elif math.isfinite(lower) and math.isfinite(upper):
         value = x0 + y0 * (lower + upper) / 2.0
-        lo, hi = x0 + y0 * lower, x0 + y0 * upper
+        lo, hi = x0_low + y0 * lower, x0_high + y0 * upper
     else:
         value, lo, hi = x0, -math.inf, math.inf
     result = _result(value, lo, hi, k, elapsed, config, trace, converged)
