@@ -228,16 +228,19 @@ def _groups(labels: np.ndarray) -> list:
     return [members[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
-def scc_order(model: SparseModel) -> SccOrder:
+def scc_order(model: SparseModel, restrict: np.ndarray | None = None) -> SccOrder:
     """Decompose the state graph into SCCs, successors-first.
 
     For every transition ``s -> s'`` in the model,
     ``component_of[s'] <= component_of[s]``: a component never precedes one
-    of its successors in the returned list.
+    of its successors in the returned list.  With ``restrict`` the rows of
+    the states outside it are dropped first, so each of those states is a
+    component of its own and joins no cycle.
     """
     n = model.num_states
     sources = np.repeat(np.arange(n), np.diff(model.choice_start[model.row_group_start]))
-    component_of = _tarjan(n, sources, model.entry_target, range(n))
+    kept = slice(None) if restrict is None else _state_mask(model, restrict)[sources]
+    component_of = _tarjan(n, sources[kept], model.entry_target[kept], range(n))
     return SccOrder(components=_groups(component_of), component_of=component_of)
 
 
@@ -364,7 +367,8 @@ def collapse_end_components(model: SparseModel, partition: Partition) -> Quotien
 
 
 def reach_partition(model: SparseModel, goal: np.ndarray, direction: Direction) -> Partition:
-    """Partition for a reachability-probability query on an absorbing goal.
+    """Partition for a reachability-probability query.  Goal rows are never
+    read, so a goal state counts as absorbing whatever its choices.
 
     For ``MINIMIZE`` no set ``M`` of ``maybe`` states can be kept forever
     (``prob0_min(model, goal | s0)`` is empty), so minimizing solves need no

@@ -41,6 +41,7 @@ from .errors import (
     RewardOnMec,
     TooLargeForOracle,
 )
+# make_absorbing stays imported: perfbench/tracing.py wraps it here.
 from .model import (
     Direction, Partition, SparseModel, _ValueEnum, _checked_choices, _ranges, make_absorbing,
 )
@@ -135,8 +136,9 @@ class IterationState:
     """Snapshot of one iteration, handed to ``on_iteration`` hooks.
 
     ``x`` and ``y`` are over the model's states in model order; ``scheduler``
-    (MDPs only) is the local choice each undecided state took, and 0 at
-    every goal and sure-zero state.
+    (``None`` unless a state outside the goal has a choice) is the local
+    choice each undecided state took, and 0 at every goal and sure-zero
+    state.
     """
 
     k: int
@@ -222,9 +224,10 @@ class _Kernels:
         self.position = np.empty(n, dtype=np.int64)
         self.position[self.order] = np.arange(n)
 
-        self.is_mc = model.is_mc
         groups, starts = model.row_group_start, model.choice_start
         first, end = groups[self.live], groups[self.live + 1]
+        # goal rows are never read, so choices there make no MDP
+        self.is_mc = bool((model.group_sizes()[~partition.goal] == 1).all())
         kept = _ranges(first, end - first)
         entries = _ranges(starts[first], starts[end] - starts[first])
         self.targets = self.position[model.entry_target[entries]]
@@ -987,11 +990,13 @@ def solve(
 ) -> SolveResult:
     """Answer one reachability/reward query end to end.
 
-    ``goal`` is a label name or a boolean mask.  Goal states are made
-    absorbing, the qualitative partition is computed, and — for maximizing
-    probability queries — end components are collapsed so the certified
-    methods face a unique fixpoint (minimizing ones face one already, see
-    ``reach_partition``).  Reward queries insist that the goal is reached
+    ``goal`` is a label name or a boolean mask.  The qualitative partition
+    is computed on the caller's model, and — for maximizing probability
+    queries — end components are collapsed so the certified methods face a
+    unique fixpoint (minimizing ones face one already, see
+    ``reach_partition``).  Goal states are not made absorbing: the
+    partition fixes their value, and neither the searches nor the engines
+    read their rows.  Reward queries insist that the goal is reached
     almost surely under every resolution of choices and reject models with
     end components outside the goal.  svi probability queries start at
     ``[0, 1]``: a missing bound becomes 0 or 1, a given one is clipped into
@@ -1009,25 +1014,23 @@ def solve(
         ).validated()
     started = time.perf_counter()
     goal_mask = model.label_mask(goal) if isinstance(goal, str) else np.asarray(goal, dtype=bool)
-    prepared = make_absorbing(model, goal_mask)
-
     if config.objective is Objective.REWARD:
-        if not check_contracting(prepared, goal_mask):
+        if not check_contracting(model, goal_mask):
             raise RewardOnMec(
                 "reward query on a model with an end component outside the goal"
             )
-        partition = reward_partition(prepared, goal_mask)
+        partition = reward_partition(model, goal_mask)
     else:
-        partition = reach_partition(prepared, goal_mask, config.direction)
+        partition = reach_partition(model, goal_mask, config.direction)
         if config.direction is Direction.MAXIMIZE:
-            quotient = collapse_end_components(prepared, partition)
-            prepared, partition = quotient.model, quotient.partition
+            quotient = collapse_end_components(model, partition)
+            model, partition = quotient.model, quotient.partition
 
     if config.method is Method.SVI:
-        result = svi_solve(prepared, partition, config, on_iteration)
+        result = svi_solve(model, partition, config, on_iteration)
     elif config.method is Method.VI:
-        result = vi_solve(prepared, partition, config)
+        result = vi_solve(model, partition, config)
     else:
-        result = ii_solve(prepared, partition, config)
+        result = ii_solve(model, partition, config)
     result.time_ms = (time.perf_counter() - started) * 1000.0
     return result

@@ -81,7 +81,7 @@ def topological_solve(
 
     started = time.perf_counter()
     # undecided states first, predecessors first, component by component
-    component_of = scc_order(model).component_of
+    component_of = scc_order(model, restrict=partition.maybe).component_of
     key = np.where(partition.maybe, component_of.max() - component_of, model.num_states)
     kern = _Kernels(model, partition, config.objective, config.direction, key)
     starts = np.flatnonzero(np.diff(key[kern.live], prepend=-1))[::-1].tolist()

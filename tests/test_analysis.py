@@ -288,6 +288,15 @@ def test_scc_order_long_chain_and_ring():
     np.testing.assert_array_equal(order.components[0], np.arange(n))
 
 
+def test_scc_order_restricted_drops_the_rows_outside():
+    # the cycle 0 -> 1 -> 2 -> 0 breaks once state 2's row is dropped
+    cycle = sr.validate_model([[{1: 1.0}], [{2: 1.0}], [{0: 1.0}]])
+    assert len(sr.scc_order(cycle).components) == 1
+    order = sr.scc_order(cycle, restrict=[True, True, False])
+    assert sorted(c.tolist() for c in order.components) == [[0], [1], [2]]
+    np.testing.assert_array_equal(order.component_of, [2, 1, 0])
+
+
 def test_scc_order_slow_chain(slow_chain):
     order = sr.scc_order(slow_chain)
     comps = [sorted(c.tolist()) for c in order.components]

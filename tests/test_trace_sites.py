@@ -41,7 +41,6 @@ def test_traced_solve_records_engine_spans():
         tracer.uninstall()
     names = {row[0] for row in tracer.spans}
     for span in (
-        "model.make_absorbing",
         "analysis.prob0",
         "analysis.collapse_end_components",
         "solvers.svi_solve",
@@ -50,3 +49,27 @@ def test_traced_solve_records_engine_spans():
     ):
         assert span in names, span
     assert not hasattr(sr.solvers.svi_solve, "__wrapped__")  # uninstalled
+
+
+def test_solve_makes_no_absorbing_copy():
+    # the goal state's two choices stay in the model every solve runs on
+    model = sr.validate_model(
+        [[{0: 0.5, 1: 0.5}, {1: 1.0}], [{0: 1.0}, {1: 1.0}]],
+        rewards=[[1.0, 2.0], [3.0, 4.0]],
+        labels={"init": [0], "goal": [1]},
+    )
+    tracer = load_tracing().Tracer()
+    tracer.install(sr)
+    try:
+        for objective in sr.Objective:
+            for direction in sr.Direction:
+                for topological in (False, True):
+                    config = sr.SolverConfig(
+                        objective=objective, direction=direction, topological=topological
+                    )
+                    sr.solve(model, "goal", config)
+    finally:
+        tracer.uninstall()
+    names = {row[0] for row in tracer.spans}
+    assert "solvers.svi_solve" in names and "variants.topological_solve" in names
+    assert "model.make_absorbing" not in names
