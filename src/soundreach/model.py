@@ -473,8 +473,11 @@ def _integers(values, error: type, what: str) -> np.ndarray:
 
 def _state_mask(model: SparseModel, mask) -> np.ndarray:
     """``mask`` as a boolean array with one entry per state of ``model``;
-    any other shape raises :class:`DanglingTarget`."""
-    mask = np.asarray(mask, dtype=bool)
+    any other dtype or shape raises :class:`DanglingTarget` (indices are
+    not read as truth values)."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool:
+        raise DanglingTarget(f"a state mask of {mask.dtype} values, not booleans")
     if mask.shape != (model.num_states,):
         raise DanglingTarget(f"a state mask of shape {mask.shape} for {model.num_states} states")
     return mask

@@ -43,7 +43,8 @@ from .errors import (
 )
 # make_absorbing stays imported: perfbench/tracing.py wraps it here.
 from .model import (
-    Direction, Partition, SparseModel, _ValueEnum, _checked_choices, _ranges, make_absorbing,
+    Direction, Partition, SparseModel, _ValueEnum, _checked_choices, _ranges, _state_mask,
+    make_absorbing,
 )
 
 __all__ = [
@@ -84,10 +85,11 @@ class SolverConfig:
     """Everything a solve run needs besides the model and the partition.
 
     ``lower``/``upper`` are optional scalar initial bounds valid for every
-    undecided state.  ``solve`` starts svi probability queries at ``[0, 1]``
-    intersected with these bounds; ``svi_solve`` itself starts a missing
-    bound at infinity, the topological mode starts every block at these
-    bounds, and interval iteration starts probabilities at 0 and 1.
+    undecided state.  ``solve`` starts svi queries in a range every value
+    lies in (``[0, 1]``, or a sign range for rewards) intersected with
+    these bounds; ``svi_solve`` itself starts a missing bound at infinity,
+    the topological mode starts every block at these bounds, and interval
+    iteration starts probabilities at 0 and 1.
     ``epsilon`` is the absolute precision: certified methods stop once the
     certified interval at the initial state is narrower than
     ``2 * epsilon`` and report its midpoint, so the result is within
@@ -875,22 +877,15 @@ _ORACLE_MAX_STATES = 12
 _ORACLE_MAX_SCHEDULERS = 4096
 
 
-def _chain_rows(model: SparseModel, picks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    rows = []
-    for s in range(model.num_states):
-        choice = int(model.row_group_start[s]) + int(picks[s])
-        rows.append(model.entries_of(choice))
-    return rows
-
-
 def _chain_values(
     model: SparseModel,
-    rows,
-    picks: np.ndarray,
+    picked: np.ndarray,
     goal: np.ndarray,
     objective: Objective,
 ) -> np.ndarray:
-    """Exact per-state values of the chain picked by ``picks``."""
+    """Exact per-state values of the chain of the ``picked`` choices, one
+    per state."""
+    rows = [model.entries_of(choice) for choice in picked.tolist()]
     n = model.num_states
     values = np.zeros(n)
     if objective is Objective.PROBABILITY:
@@ -919,8 +914,7 @@ def _chain_values(
     for row_pos, s in enumerate(idx):
         targets, probs = rows[s]
         if objective is Objective.REWARD:
-            choice = int(model.row_group_start[s]) + int(picks[s])
-            rhs[row_pos] += float(model.choice_reward[choice])
+            rhs[row_pos] += float(model.choice_reward[picked[s]])
         for t, p in zip(targets.tolist(), probs.tolist()):
             if unknown[t]:
                 matrix[row_pos, pos[t]] -= p
@@ -964,9 +958,8 @@ def oracle_solve(
 
     best: np.ndarray | None = None
     for combo in itertools.product(*(range(int(k)) for k in sizes)):
-        picks = np.asarray(combo, dtype=np.int64)
-        rows = _chain_rows(model, picks)
-        values = _chain_values(model, rows, picks, goal, objective)
+        picked = model.row_group_start[:-1] + np.asarray(combo, dtype=np.int64)
+        values = _chain_values(model, picked, goal, objective)
         if best is None:
             best = values
         elif direction is Direction.MAXIMIZE:
@@ -991,29 +984,34 @@ def solve(
     """Answer one reachability/reward query end to end.
 
     ``goal`` is a label name or a boolean mask.  The qualitative partition
-    is computed on the caller's model, and — for maximizing probability
-    queries — end components are collapsed so the certified methods face a
-    unique fixpoint (minimizing ones face one already, see
-    ``reach_partition``).  Goal states are not made absorbing: the
-    partition fixes their value, and neither the searches nor the engines
-    read their rows.  Reward queries insist that the goal is reached
-    almost surely under every resolution of choices and reject models with
-    end components outside the goal.  svi probability queries start at
-    ``[0, 1]``: a missing bound becomes 0 or 1, a given one is clipped into
-    ``[0, 1]``, and a NaN bound, a lower bound above 1 or an upper bound
-    below 0 raises ``ConfigError``.  An unknown goal label raises
-    ``UnknownLabelId``.  The reported time covers this preprocessing plus
-    the iteration itself.
+    is computed on the caller's model, with no absorbing copy: it fixes the
+    goal's value, and no search or engine reads a goal row.  Maximizing
+    probability queries collapse end components so the certified methods
+    face a unique fixpoint (minimizing ones face one already, see
+    ``reach_partition``); reward queries reject models with an end
+    component outside the goal.  svi starts in a range every value lies
+    in: ``[0, 1]`` for probabilities; for rewards ``[0, inf)`` when no
+    choice of a non-goal state has a negative reward, ``(-inf, 0]`` when
+    none has a positive one.  A missing bound becomes the range's end, a
+    given one is clipped into it, and one outside it raises
+    ``ConfigError``.  A goal mask that is not boolean or has the wrong
+    length raises ``DanglingTarget``, an unknown goal label
+    ``UnknownLabelId``.  The reported time covers the preprocessing too.
     """
     config = config.validated()
-    if config.method is Method.SVI and config.objective is Objective.PROBABILITY:
+    started = time.perf_counter()
+    goal_mask = model.label_mask(goal) if isinstance(goal, str) else _state_mask(model, goal)
+    if config.method is Method.SVI:
+        low, high = 0.0, 1.0
+        if config.objective is Objective.REWARD:
+            rewards = model.choice_reward[~goal_mask[model.choice_state()]]
+            low = 0.0 if (rewards >= 0.0).all() else -math.inf
+            high = 0.0 if (rewards <= 0.0).all() else math.inf
         config = replace(
             config,
-            lower=0.0 if config.lower is None else max(config.lower, 0.0),
-            upper=1.0 if config.upper is None else min(config.upper, 1.0),
+            lower=max(low, -math.inf if config.lower is None else config.lower),
+            upper=min(high, math.inf if config.upper is None else config.upper),
         ).validated()
-    started = time.perf_counter()
-    goal_mask = model.label_mask(goal) if isinstance(goal, str) else np.asarray(goal, dtype=bool)
     if config.objective is Objective.REWARD:
         if not check_contracting(model, goal_mask):
             raise RewardOnMec(

@@ -285,7 +285,9 @@ class _Collector:
 
 
 def _prepare(model: sr.SparseModel, goal: np.ndarray, objective, direction):
-    """Mirror the query pipeline: absorb, partition, collapse if needed."""
+    """Mirror the query pipeline on the absorbing copy, which ``solve``
+    answers exactly as it answers ``model`` (it reads no goal row): partition,
+    collapse if needed."""
     prepared = sr.make_absorbing(model, goal)
     if objective is sr.Objective.REWARD:
         partition = sr.reward_partition(prepared, goal)

@@ -155,28 +155,38 @@ SHORT_PARTITION = sr.Partition(
 )
 
 
+#: a mask of the wrong length, and state indices where truth values belong:
+#: read as truth values, ``[2, 0, 0]`` would make state 0 the goal
+BAD_MASKS = [([False, True], r"shape \(2,\) for 3 states"), ([2, 0, 0], "int64 values")]
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, masks",
     [
-        lambda m: sr.prob0_max(m, [False, True]),
-        lambda m: sr.prob0_min(m, [False, True]),
-        lambda m: sr.check_contracting(m, [False, True]),
-        lambda m: sr.reach_partition(m, [False, True], sr.Direction.MAXIMIZE),
-        lambda m: sr.reach_partition(m, [False, True], sr.Direction.MINIMIZE),
-        lambda m: sr.reward_partition(m, [False, True]),
-        lambda m: sr.mec_decompose(m, restrict=[False, True]),
-        lambda m: sr.collapse_end_components(m, SHORT_PARTITION),
-        lambda m: sr.make_absorbing(m, [False, True]),
+        (lambda m, mask: sr.prob0_max(m, mask), BAD_MASKS),
+        (lambda m, mask: sr.prob0_min(m, mask), BAD_MASKS),
+        (lambda m, mask: sr.check_contracting(m, mask), BAD_MASKS),
+        (lambda m, mask: sr.reach_partition(m, mask, sr.Direction.MAXIMIZE), BAD_MASKS),
+        (lambda m, mask: sr.reach_partition(m, mask, sr.Direction.MINIMIZE), BAD_MASKS),
+        (lambda m, mask: sr.reward_partition(m, mask), BAD_MASKS),
+        (lambda m, mask: sr.mec_decompose(m, restrict=mask), BAD_MASKS),
+        # a Partition refuses masks that are not boolean itself
+        (lambda m, mask: sr.collapse_end_components(m, SHORT_PARTITION), BAD_MASKS[:1]),
+        (lambda m, mask: sr.make_absorbing(m, mask), BAD_MASKS),
+        (lambda m, mask: sr.scc_order(m, restrict=mask), BAD_MASKS),
+        (lambda m, mask: sr.solve(m, mask, sr.SolverConfig()), BAD_MASKS),
     ],
     ids=[
         "prob0_max", "prob0_min", "check_contracting", "reach_partition_max",
         "reach_partition_min", "reward_partition", "mec_decompose", "collapse", "make_absorbing",
+        "scc_order", "solve",
     ],
 )
-def test_state_mask_of_the_wrong_length_is_refused(call):
+def test_state_mask_of_the_wrong_length_is_refused(call, masks):
     m = sr.validate_model([[{1: 1.0}], [{0: 0.5, 2: 0.5}], [{2: 1.0}]])
-    with pytest.raises(sr.DanglingTarget, match=r"shape \(2,\) for 3 states"):
-        call(m)
+    for mask, message in masks:
+        with pytest.raises(sr.DanglingTarget, match=message):
+            call(m, mask)
 
 
 # ---------------------------------------------------------------------------

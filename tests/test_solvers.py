@@ -1,8 +1,11 @@
 """Core iteration machinery: step operators, action selection, certified
 bounds, the solver engines, and the brute-force oracle."""
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1084,6 +1087,82 @@ def test_solve_starts_probability_queries_inside_zero_one(branching_mdp):
     for bounds in ({"lower": 1.5}, {"upper": -0.5}):
         with pytest.raises(sr.ConfigError):
             sr.solve(branching_mdp, "goal", sr.SolverConfig(**bounds))
+
+
+def test_solve_starts_reward_queries_on_the_sign_of_the_rewards():
+    starts = []
+
+    def hook(state, previous):
+        if previous.k == 0:
+            starts.append((previous.lower, previous.upper))
+
+    def model(low, high):
+        # the goal's own rewards have either sign: goal rows are not read
+        return sr.validate_model(
+            [[{0: 0.5, 1: 0.5}, {1: 1.0}], [{1: 1.0}, {0: 1.0}]],
+            rewards=[[low, high], [-3.0, 3.0]],
+            labels={"init": [0], "goal": [1]},
+        )
+
+    def config(**kwargs):
+        return sr.SolverConfig(objective=sr.Objective.REWARD, **kwargs)
+
+    for rewards, start in (((0.0, 2.0), (0.0, INF)), ((-2.0, 0.0), (-INF, 0.0)),
+                           ((-1.0, 1.0), (-INF, INF))):
+        for direction in sr.Direction:
+            sr.solve(model(*rewards), "goal", config(direction=direction), hook)
+        assert starts[-2:] == [start] * 2
+    sr.solve(model(1.0, 2.0), "goal", config(lower=-5.0, upper=10.0), hook)
+    assert starts[-1] == (0.0, 10.0)
+    sr.solve(model(-2.0, -1.0), "goal", config(lower=-10.0, upper=5.0), hook)
+    assert starts[-1] == (-10.0, 0.0)
+    with pytest.raises(sr.ConfigError):
+        sr.solve(model(1.0, 2.0), "goal", config(upper=-0.5))
+    with pytest.raises(sr.ConfigError):
+        sr.solve(model(-2.0, -1.0), "goal", config(lower=0.5))
+    # interval iteration keeps the configuration's bounds as they are
+    res = sr.solve(model(1.0, 2.0), "goal", config(method=sr.Method.II, lower=-5.0, upper=10.0))
+    assert res.sound
+
+
+FAMILIES = Path(__file__).resolve().parents[1] / "perfbench" / "families.py"
+
+
+def roadmap_reward_mdp():
+    """The 200-state random MDP of the benchmark's families, with rewards
+    drawn from [0.5, 2]: every reward is positive."""
+    spec = importlib.util.spec_from_file_location("perfbench_families", FAMILIES)
+    families = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = families  # its dataclasses look their module up
+    spec.loader.exec_module(families)
+    mdp = families.random_mdp("reward", 200, np.random.default_rng(0))
+    families.with_rewards(mdp, np.random.default_rng(1))
+    return sr.validate_model(
+        [[dict(zip(targets, probs)) for targets, probs in group] for group in mdp.choices],
+        initial_state=mdp.init,
+        rewards=mdp.rewards,
+        labels={"init": [mdp.init], "goal": mdp.goal},
+    )
+
+
+def test_minimal_reward_certifies_from_the_sign_bound():
+    # without a lower bound of 0 the run diverged: lower fell to -1.09e16 by
+    # 20,000 sweeps without bounds, and to -323,447 from [-1e6, 1e6]
+    model = roadmap_reward_mdp()
+
+    def run(lower, upper):
+        config = sr.SolverConfig(
+            objective=sr.Objective.REWARD, direction=sr.Direction.MINIMIZE,
+            lower=lower, upper=upper, max_iterations=20_000,
+        )
+        res = sr.solve(model, "goal", config)
+        return res.value, res.lower, res.upper, res.iterations, res.sound
+
+    want = run(0.0, 1e6)
+    assert want[3] == 575 and want[4]
+    assert want[1] <= 42.4278856 <= want[2]
+    assert run(None, None) == want
+    assert run(-1e6, 1e6) == want
 
 
 @pytest.mark.parametrize("method", [sr.Method.SVI, sr.Method.II])
