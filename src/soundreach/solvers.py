@@ -10,8 +10,10 @@ and derives certified global bounds from the ratios ``x / (1 - y)``.  On
 MDPs it additionally tracks a *decision value* that keeps the upper-bound
 update honest when the preferred choice of a state could flip.
 
-``find_action`` and ``decision_value`` expose the step's choice selection
-and decision value for one state; they run the same kernels as the loop.
+``vi_solve`` and ``ii_solve`` run one Bellman loop, and ``_result`` forms
+every engine's interval.  ``find_action`` and ``decision_value`` expose the
+step's choice selection and decision value for one state; they run the same
+kernels as the loop.
 ``oracle_solve`` is the exact reference: dense linear algebra for chains,
 exhaustive positional-scheduler enumeration for (small) MDPs.  ``solve``
 wires graph preprocessing and an engine together for one query.
@@ -486,8 +488,11 @@ def find_action(
     tightens, and that choice keeps the best score as it does, so no tied
     alternative pins the bound through its decision value.  Remaining ties
     resolve to the lowest choice index.  A ``state`` out of range raises
-    :class:`InvalidChoiceIndex`.
+    :class:`InvalidChoiceIndex`, a NaN ``bound`` (which no score comparison
+    holds for) :class:`ConfigError`.
     """
+    if math.isnan(bound):
+        raise ConfigError("find_action needs a bound that is not NaN")
     kern = _one_state_kernels(model, state, objective, direction)
     cx, cy = kern.choice_x(kern.to_kernel(x)), kern.choice_y(kern.to_kernel(y))
     return int(kern.select(cx, cy, bound)[0])
@@ -588,6 +593,7 @@ def _tighten_bounds(
 def _shortcut(
     model: SparseModel, partition: Partition, config: SolverConfig
 ) -> SolveResult | None:
+    """The result of a query whose initial state is decided, else None."""
     s = model.initial_state
     if partition.goal[s]:
         value = 1.0 if config.objective is Objective.PROBABILITY else 0.0
@@ -596,30 +602,37 @@ def _shortcut(
     else:
         return None
     trace = [] if config.record_trace else None
-    return _result(value, value, value, 0, 0.0, config, trace, config.method is not Method.VI)
+    return _result(config, 0, time.perf_counter(), trace, True, value, value)
 
 
 def _result(
-    value: float,
-    lo: float,
-    hi: float,
-    iterations: int,
-    elapsed_ms: float,
-    config: SolverConfig,
-    trace,
-    sound: bool,
+    config: SolverConfig, iterations: int, started: float, trace, converged: bool,
+    x_low: float, x_high: float, y: float = 0.0, lower: float = -math.inf, upper: float = math.inf,
 ) -> SolveResult:
-    """A certified engine's result; probability results are clipped into
-    ``[0, 1]``, which holds every probability, so a rounding step past 1
-    cannot leave ``lower`` above ``upper`` there."""
+    """Every engine's result, from the initial state's ``x_low``, ``x_high``
+    and ``y`` and the global ``lower``/``upper`` bounds.
+
+    The interval is ``x + y * [lower, upper]``, exactly ``[x_low, x_high]``
+    once ``y`` is 0 (always for vi and ii), and the value its midpoint.
+    Probability results are clipped into ``[0, 1]``, which holds every
+    probability, so a rounding step past 1 cannot leave ``lower`` above
+    ``upper`` there.  ``sound`` is ``converged``, and False for vi, whose
+    stopping test certifies nothing.  A run that did not converge raises
+    :class:`IterationLimit` carrying the result as its partial one.
+    """
+    x = x_low if x_low == x_high else (x_low + x_high) / 2.0
+    if y == 0.0:
+        value, lo, hi = x, x_low, x_high
+    elif math.isfinite(lower) and math.isfinite(upper):
+        value = x + y * (lower + upper) / 2.0
+        lo, hi = x_low + y * lower, x_high + y * upper
+    else:
+        value, lo, hi = x, -math.inf, math.inf
     if config.objective is Objective.PROBABILITY:
         value, lo, hi = (min(max(v, 0.0), 1.0) for v in (value, lo, hi))
-    return SolveResult(value, lo, hi, iterations, elapsed_ms, config.method, sound, trace)
-
-
-def _finished(result: SolveResult, converged: bool, config: SolverConfig) -> SolveResult:
-    """``result``, or :class:`IterationLimit` carrying it as the partial
-    result of a run that used up ``max_iterations``."""
+    elapsed = (time.perf_counter() - started) * 1000.0
+    sound = converged and config.method is not Method.VI
+    result = SolveResult(value, lo, hi, iterations, elapsed, config.method, sound, trace)
     if not converged:
         raise IterationLimit(
             f"no convergence within {config.max_iterations} iterations", partial=result
@@ -690,9 +703,9 @@ def _certify(
     is narrower than ``2 * epsilon``, and settles to those intervals.  A
     block without cycles takes at most as many sweeps as one path through
     it has states.  The trace gets one row per sweep, and ``on_iteration``
-    (for one block only) one snapshot.  The result,
-    also the partial one of :class:`IterationLimit`, is the initial state's
-    interval: the start bounds until its block runs.
+    (for one block only) one snapshot.  ``_result`` forms the result, also
+    the partial one of :class:`IterationLimit`, from the initial state's
+    values and its block's bounds: the start bounds until its block runs.
     """
     maximize = config.direction is Direction.MAXIMIZE
     initial = int(kern.position[model.initial_state])
@@ -755,21 +768,10 @@ def _certify(
         if not done or holds_initial:
             break
 
-    elapsed = (time.perf_counter() - started) * 1000.0
     if not holds_initial:
         lower, upper = start_lower, start_upper
-    # the interval x + y * [lower, upper] at the initial state, exactly x once y is 0
     x0_low, x0_high, y0 = float(x_low[initial]), float(x_high[initial]), float(y[initial])
-    x0 = x0_low if x0_low == x0_high else (x0_low + x0_high) / 2.0
-    if y0 == 0.0:
-        value, lo, hi = x0, x0_low, x0_high
-    elif math.isfinite(lower) and math.isfinite(upper):
-        value = x0 + y0 * (lower + upper) / 2.0
-        lo, hi = x0_low + y0 * lower, x0_high + y0 * upper
-    else:
-        value, lo, hi = x0, -math.inf, math.inf
-    result = _result(value, lo, hi, k, elapsed, config, trace, converged)
-    return _finished(result, converged, config)
+    return _result(config, k, started, trace, converged, x0_low, x0_high, y0, lower, upper)
 
 
 def vi_solve(
@@ -779,51 +781,20 @@ def vi_solve(
 
     The reported interval is collapsed onto the value and ``sound`` is False:
     the stopping test says nothing about the distance to the true answer.
+    A probability result is clipped into ``[0, 1]``.  This is the
+    one-vector case of ``_iterate``.
     """
-    config = replace(config, method=Method.VI).validated()
-    short = _shortcut(model, partition, config)
-    if short is not None:
-        return short
-
-    started = time.perf_counter()
-    kern = _Kernels(model, partition, config.objective, config.direction)
-    initial = int(kern.position[model.initial_state])
-    x = kern.x_start.copy()
-    x_live = x[: kern.m]
-    trace: list[TraceRow] | None = [] if config.record_trace else None
-    k = 0
-    converged = False
-    while not converged and k < config.max_iterations:
-        k += 1
-        x_new = kern.bellman(x)
-        difference = float(np.abs(x_new - x_live).max())
-        x_live[:] = x_new
-        if trace is not None:
-            current = float(x[initial])
-            trace.append(
-                TraceRow(k, current, current, neutral_decision(config.direction), math.nan)
-            )
-        converged = difference < config.epsilon
-
-    elapsed = (time.perf_counter() - started) * 1000.0
-    value = float(x[initial])
-    result = SolveResult(value, value, value, k, elapsed, Method.VI, False, trace)
-    return _finished(result, converged, config)
+    return _iterate(model, partition, replace(config, method=Method.VI))
 
 
 def _ii_start_vectors(kern: _Kernels, config: SolverConfig) -> list[np.ndarray]:
     """Interval iteration's lower and upper start vectors, in kernel order."""
     starts = []
     for side, scalar, default in (("lower", config.lower, 0.0), ("upper", config.upper, 1.0)):
+        if scalar is None and config.objective is Objective.REWARD:
+            raise MissingRewardBounds(f"interval iteration on rewards needs initial {side} bounds")
         start = kern.x_start.copy()
-        if scalar is not None:
-            start[: kern.m] = scalar
-        elif config.objective is Objective.PROBABILITY:
-            start[: kern.m] = default
-        else:
-            raise MissingRewardBounds(
-                f"interval iteration on rewards needs initial {side} bounds"
-            )
+        start[: kern.m] = default if scalar is None else scalar
         starts.append(start)
     return starts
 
@@ -835,38 +806,49 @@ def ii_solve(
 
     Probability queries default to the trivial bounds 0 and 1; reward
     queries require scalar initial bounds in the configuration.  Stops when
-    the widest per-state gap drops below ``2 * epsilon``.
+    the widest per-state gap drops below ``2 * epsilon`` and reports the
+    interval at the initial state, a probability one clipped into
+    ``[0, 1]``.  This is the two-vector case of ``_iterate``.
     """
-    config = replace(config, method=Method.II).validated()
+    return _iterate(model, partition, replace(config, method=Method.II))
+
+
+def _iterate(model: SparseModel, partition: Partition, config: SolverConfig) -> SolveResult:
+    """The Bellman loop of ``vi_solve`` and ``ii_solve``.
+
+    Value iteration steps one vector, started at ``x_start``, and stops once
+    a sweep moves no undecided value by ``epsilon`` or more.  Interval
+    iteration steps the two vectors of ``_ii_start_vectors`` and stops once
+    they are less than ``2 * epsilon`` apart at every state.  A trace row
+    holds the lowest and highest vector at the initial state.
+    """
+    config = config.validated()
     short = _shortcut(model, partition, config)
     if short is not None:
         return short
 
     started = time.perf_counter()
     kern = _Kernels(model, partition, config.objective, config.direction)
-    low, high = _ii_start_vectors(kern, config)
-    low_live, high_live = low[: kern.m], high[: kern.m]
+    if config.method is Method.VI:
+        vectors, threshold = [kern.x_start.copy()], config.epsilon
+    else:
+        vectors, threshold = _ii_start_vectors(kern, config), 2.0 * config.epsilon
+    low, high = vectors[0], vectors[-1]
     initial = int(kern.position[model.initial_state])
     trace: list[TraceRow] | None = [] if config.record_trace else None
-    threshold = 2.0 * config.epsilon
     neutral = neutral_decision(config.direction)
-    k = 0
-    converged = False
+    k, converged = 0, False
     while not converged and k < config.max_iterations:
         k += 1
-        low_live[:] = kern.bellman(low)
-        high_live[:] = kern.bellman(high)
+        steps = [kern.bellman(v) for v in vectors]
+        # one vector: how far the sweep moved it; two: how far apart they are
+        gap = steps[-1] - (steps[0] if high is not low else low[: kern.m])
+        for v, step in zip(vectors, steps):
+            v[: kern.m] = step
         if trace is not None:
-            trace.append(
-                TraceRow(k, float(low[initial]), float(high[initial]), neutral, math.nan)
-            )
-        converged = float(np.abs(high_live - low_live).max()) < threshold
-
-    elapsed = (time.perf_counter() - started) * 1000.0
-    lo = float(low[initial])
-    hi = float(high[initial])
-    result = SolveResult((lo + hi) / 2.0, lo, hi, k, elapsed, Method.II, converged, trace)
-    return _finished(result, converged, config)
+            trace.append(TraceRow(k, float(low[initial]), float(high[initial]), neutral, math.nan))
+        converged = float(np.abs(gap).max()) < threshold
+    return _result(config, k, started, trace, converged, float(low[initial]), float(high[initial]))
 
 
 # ---------------------------------------------------------------------------
@@ -996,9 +978,13 @@ def solve(
     given one is clipped into it, and one outside it raises
     ``ConfigError``.  A goal mask that is not boolean or has the wrong
     length raises ``DanglingTarget``, an unknown goal label
-    ``UnknownLabelId``.  The reported time covers the preprocessing too.
+    ``UnknownLabelId``.  An ``on_iteration`` hook for vi, ii or the
+    topological mode raises ``ConfigError`` before any preprocessing.  The
+    reported time covers the preprocessing too.
     """
     config = config.validated()
+    if on_iteration is not None and (config.method is not Method.SVI or config.topological):
+        raise ConfigError("only the flat svi solve takes an on_iteration hook")
     started = time.perf_counter()
     goal_mask = model.label_mask(goal) if isinstance(goal, str) else _state_mask(model, goal)
     if config.method is Method.SVI:

@@ -153,6 +153,16 @@ def test_find_action_weighs_bound(branching_mdp):
     assert sr.find_action(model, x, y, 0, 1.0) == 0
 
 
+def test_find_action_refuses_a_nan_bound(branching_mdp):
+    # every score would be NaN, no comparison would hold, and choice 0 would
+    # come back as if it were the best
+    model, part = prepared(branching_mdp)
+    x = np.array([0.0, 0.0, 0.3, 0.0, 1.0])
+    y = np.array([1.0, 1.0, 0.6, 0.0, 0.0])
+    with pytest.raises(sr.ConfigError):
+        sr.find_action(model, x, y, 0, math.nan)
+
+
 def test_find_action_breaks_ties_low():
     model = sr.validate_model(
         [[{1: 0.5, 2: 0.5}, {1: 0.5, 2: 0.5}], [{1: 1.0}], [{2: 1.0}]],
@@ -666,14 +676,32 @@ def test_svi_reward_exact():
     assert res.iterations == 1  # y hits zero immediately: single maybe state
 
 
-def test_svi_iteration_limit_carries_partial(slow_chain):
+@pytest.mark.parametrize("method", [sr.Method.VI, sr.Method.II, sr.Method.SVI])
+def test_svi_iteration_limit_carries_partial(slow_chain, method):
     model, part = prepared(slow_chain)
+    engine = {sr.Method.VI: sr.vi_solve, sr.Method.II: sr.ii_solve, sr.Method.SVI: sr.svi_solve}
     with pytest.raises(sr.IterationLimit) as info:
-        sr.svi_solve(model, part, sr.SolverConfig(epsilon=1e-6, max_iterations=2))
+        engine[method](model, part, sr.SolverConfig(epsilon=1e-6, max_iterations=2))
     partial = info.value.partial
     assert partial is not None
+    assert partial.method is method
     assert partial.iterations == 2
     assert not partial.sound
+
+
+@pytest.mark.parametrize("method", [sr.Method.VI, sr.Method.II])
+def test_solve_refuses_a_hook_for_vi_and_ii(method):
+    # the hook was dropped silently while vi ran 20 sweeps and ii 19
+    model = sr.validate_model(
+        [[{0: 0.5, 1: 0.5}], [{1: 1.0}]], labels={"init": [0], "goal": [1]}
+    )
+    config = sr.SolverConfig(method=method)
+    sweeps = {sr.Method.VI: 20, sr.Method.II: 19}[method]
+    assert sr.solve(model, "goal", config).iterations == sweeps
+    calls = []
+    with pytest.raises(sr.ConfigError, match="hook"):
+        sr.solve(model, "goal", config, lambda state, previous: calls.append(state.k))
+    assert calls == []
 
 
 def test_svi_hook_sees_every_iteration(slow_chain):
@@ -1194,14 +1222,19 @@ def test_min_partition_leaves_nothing_to_avoid_forever():
 
 def test_probability_results_never_cross_or_leave_zero_one():
     # Rounding can carry lower past upper at 1: F1 from [0, 1] computes
-    # [1.0000000000000007, 1.0000000000000002] before the clip.
+    # [1.0000000000000007, 1.0000000000000002] before the clip.  Unclipped,
+    # vi reports 1.0000000000000002 on instance 44 and ii an upper bound
+    # above 1 on nine instances.
     rng = np.random.default_rng(4242)
+    runs = [
+        (sr.Method.SVI, False), (sr.Method.SVI, True), (sr.Method.VI, False), (sr.Method.II, False)
+    ]
     for _ in range(320):
         model, goal = random_model(rng)
         for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
-            for topological in (False, True):
+            for method, topological in runs:
                 config = sr.SolverConfig(
-                    direction=direction, topological=topological, epsilon=1e-8
+                    method=method, direction=direction, topological=topological, epsilon=1e-8
                 )
                 res = sr.solve(model, goal, config)
                 assert 0.0 <= res.lower <= res.value <= res.upper <= 1.0, res
