@@ -42,7 +42,7 @@ def _blocks(starts: list, kern: _Kernels) -> list:
     A block takes consecutive components until it holds ``_BLOCK_ENTRIES``
     kept entries or more; the last one takes whatever remains.
     """
-    choice_entry = np.append(kern.choice_cuts, len(kern.targets))
+    choice_entry = np.append(kern.choice_cuts, kern.num_entries)
     entry_at = choice_entry[np.append(kern.group_cuts, kern.num_choices)].tolist()
     blocks, hi = [], kern.m
     for lo in starts:

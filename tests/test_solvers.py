@@ -12,6 +12,7 @@ import pytest
 
 import soundreach as sr
 from conftest import _prepare, random_model
+from soundreach import solvers, variants
 from soundreach.solvers import _Kernels, neutral_decision
 
 INF = float("inf")
@@ -455,9 +456,8 @@ def assert_kernels_match_references(kern, rng):
             picks = (kern.group_cuts, chosen, kern.group_cuts + kern.group_sizes - 1)
             for picked in picks:
                 for decision in (neutral, 0.25):
-                    assert kern._fold_decision(cx, cy, picked, decision) == reference_fold(
-                        kern, cx, cy, picked, decision
-                    )
+                    folded = kern._fold_decision(cx, cy, cx[picked], cy[picked], decision)
+                    assert folded == reference_fold(kern, cx, cy, picked, decision)
 
 
 def test_column_selection_matches_per_state_reductions():
@@ -532,6 +532,160 @@ def test_keyed_order_permutes_the_ascending_kernels():
                     assert decision_k == decision_p
                     assert_same_floats(keyed.to_model(xk2), plain.to_model(xp2))
                     assert_same_floats(keyed.to_model(yk2), plain.to_model(yp2))
+
+
+# ---------------------------------------------------------------------------
+# entry columns against one gather and reduceat
+# ---------------------------------------------------------------------------
+
+# Above ``_COLUMN_CHOICES`` kept choices a kernel sums choices of up to
+# ``_COLUMN_ENTRIES`` entries in entry columns and longer ones in a
+# ``reduceat`` tail.  Either way every sum must equal the one gather and
+# ``np.add.reduceat`` over the kernel's entries, signed zeros included.
+
+
+def reference_sums(kern, v, lo=0):
+    """Per kept choice of ``kern`` (a part of ``lo``): the sum of
+    ``v[target] * prob``, as one gather and ``np.add.reduceat``."""
+    starts, model = kern.model.choice_start, kern.model
+    entries = np.concatenate([np.arange(starts[c], starts[c + 1]) for c in kern.kept.tolist()])
+    targets = kern.position[model.entry_target[entries]] - lo
+    return np.add.reduceat(v[targets] * model.entry_prob[entries], kern.choice_cuts)
+
+
+def long_choice_mdp(rng, n=400, forward=False):
+    """An MDP of ``n`` undecided states with one or two choices each, whose
+    choices have 1 to 12 distinct targets in turn, plus a goal and a sink.
+    ``forward`` choices move only to the next 30 states, the goal or the
+    sink, so that every strongly connected component is one state."""
+    choices = []
+    for s in range(n):
+        group = []
+        for i in range(1 + s % 2):
+            near = np.r_[s : min(s + 30, n), n, n + 1] if forward else np.arange(n + 2)
+            k = min(1 + (s + i) % 12, len(near))
+            targets = rng.choice(near, size=k, replace=False)
+            weights = rng.random(k) + 0.05
+            group.append({int(t): w / weights.sum() for t, w in zip(targets, weights)})
+        choices.append(group)
+    choices += [[{n: 1.0}], [{n + 1: 1.0}]]
+    rewards = [rng.choice([-0.0, 0.0, -1.5, 0.25, 2.0], size=len(g)).tolist() for g in choices]
+    model = sr.validate_model(choices, rewards=rewards, labels={"init": [0], "goal": [n]})
+    maybe = np.arange(n + 2) < n
+    goal = np.arange(n + 2) == n
+    return model, sr.Partition(s0=~maybe & ~goal, goal=goal, maybe=maybe)
+
+
+def signed_vectors(rng, n):
+    """Values with exact zeros of both signs, and negative ones for x."""
+    x = rng.choice([-0.0, 0.0, -0.75, 0.5, 1.0], size=n) * rng.random(n).round(1)
+    y = rng.choice([-0.0, 0.0, 0.5, 1.0], size=n) * rng.random(n)
+    return x, y
+
+
+def test_entry_columns_sum_as_reduceat_on_both_sides_of_the_tail():
+    rng = np.random.default_rng(2121)
+    model, partition = long_choice_mdp(rng)
+    for objective in (sr.Objective.PROBABILITY, sr.Objective.REWARD):
+        for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
+            kern = _Kernels(model, partition, objective, direction)
+            assert kern.num_choices >= solvers._COLUMN_CHOICES
+            lengths = np.diff(kern.choice_cuts, append=kern.num_entries)
+            assert set(lengths.tolist()) == set(range(1, 13))
+            # 8 columns (7 column additions), the reduceat tail from 9 entries on
+            assert kern.back is not None and len(kern._adds) == solvers._COLUMN_ENTRIES - 1
+            assert len(kern.tail_cuts) == np.count_nonzero(lengths > solvers._COLUMN_ENTRIES)
+            for _ in range(5):
+                x, y = signed_vectors(rng, model.num_states)
+                expected_x = reference_sums(kern, x)
+                if kern.rewards is not None:
+                    expected_x = expected_x + kern.rewards
+                assert_same_floats(kern.choice_x(x), expected_x)
+                assert_same_floats(kern.choice_y(y), reference_sums(kern, y))
+
+
+def assert_steps_match_references(kern, rng, lo=0):
+    """``coupled_step`` and ``bellman`` of ``kern`` (a part of ``lo``)
+    against the reduceat-form sums, selection, optimum and fold."""
+    n = len(kern.position)
+    neutral = -INF if kern.maximize else INF
+    x, y = signed_vectors(rng, n)
+    y = np.abs(y)
+    cx = reference_sums(kern, x[lo:], lo)
+    if kern.rewards is not None:
+        cx = cx + kern.rewards
+    cy = reference_sums(kern, y[lo:], lo)
+    assert_same_floats(kern.bellman(x[lo:]), reference_state_opt(kern, cx))
+    for bound in (0.0, 0.5, 1.0, INF):
+        xs, ys = x[lo:].copy(), y[lo:].copy()
+        with np.errstate(over="ignore"):
+            chosen, decision = kern.coupled_step(xs, ys, bound, neutral)
+        if math.isinf(bound):
+            expected = reference_argopt_unbounded(kern, cx, cy)
+        else:
+            expected = reference_argopt(kern, cx + bound * cy, cy)
+        if kern.is_mc:
+            expected = kern.group_cuts
+        np.testing.assert_array_equal(chosen, expected)
+        if not kern.is_mc:
+            assert decision == reference_fold(kern, cx, cy, expected, neutral)
+        assert_same_floats(xs[: kern.m], cx[expected])
+        assert_same_floats(ys[: kern.m], cy[expected])
+        assert_same_floats(xs[kern.m :], x[lo + kern.m :])
+
+
+def test_entry_column_steps_match_reduceat_references():
+    rng = np.random.default_rng(2222)
+    model, partition = long_choice_mdp(rng)
+    for objective in (sr.Objective.PROBABILITY, sr.Objective.REWARD):
+        for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
+            kern = _Kernels(model, partition, objective, direction)
+            assert kern.back is not None
+            assert_steps_match_references(kern, rng)
+            assert_kernels_match_references(kern, rng)
+
+
+def test_entry_columns_in_topological_blocks(monkeypatch):
+    # the keyed kernel of the topological mode, cut into blocks of about 1,500
+    # entries: each part lays out its own columns and tail
+    monkeypatch.setattr(variants, "_BLOCK_ENTRIES", 1500)
+    rng = np.random.default_rng(2323)
+    model, partition = long_choice_mdp(rng, n=1200, forward=True)
+    component_of = sr.scc_order(model, restrict=partition.maybe).component_of
+    key = np.where(partition.maybe, component_of.max() - component_of, model.num_states)
+    for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
+        kern = _Kernels(model, partition, sr.Objective.REWARD, direction, key)
+        starts = np.flatnonzero(np.diff(key[kern.live], prepend=-1))[::-1].tolist()
+        blocks = variants._blocks(starts, kern)
+        parts = [kern.part(lo, hi) for lo, hi in blocks]
+        columned = [part for part in parts if part.back is not None]
+        assert len(blocks) > 1 and columned and any(p.tail_cuts is not None for p in columned)
+        for (lo, hi), part in zip(blocks, parts):
+            x, y = signed_vectors(rng, model.num_states)
+            expected_x = reference_sums(part, x[lo:], lo) + part.rewards
+            assert_same_floats(part.choice_x(x[lo:]), expected_x)
+            assert_same_floats(part.choice_y(y[lo:]), reference_sums(part, y[lo:], lo))
+            assert_steps_match_references(part, rng, lo)
+
+
+def test_entry_columns_on_every_small_kernel(monkeypatch):
+    # with the crossover at one choice every kernel of the random suite sums
+    # in columns, and each sum is the one reduceat gives
+    monkeypatch.setattr(solvers, "_COLUMN_CHOICES", 1)
+    rng = np.random.default_rng(4242)
+    values = np.random.default_rng(6)
+    for _ in range(320):
+        model, _ = random_model(rng)
+        for objective in (sr.Objective.PROBABILITY, sr.Objective.REWARD):
+            absorbed, part = prepared(model, sr.Direction.MAXIMIZE, objective)
+            kern = _Kernels(absorbed, part, objective, sr.Direction.MAXIMIZE)
+            if kern.m:
+                assert kern.back is not None
+            x, y = signed_vectors(values, model.num_states)
+            expected_x = reference_sums(kern, x) if kern.m else np.zeros(0)
+            if kern.rewards is not None:
+                expected_x = expected_x + kern.rewards
+            assert_same_floats(kern.choice_x(x), expected_x)
 
 
 def test_many_choices_certify_against_the_oracle():
@@ -1238,6 +1392,21 @@ def test_probability_results_never_cross_or_leave_zero_one():
                 )
                 res = sr.solve(model, goal, config)
                 assert 0.0 <= res.lower <= res.value <= res.upper <= 1.0, res
+
+
+@pytest.mark.parametrize("method, instance", [(sr.Method.II, 85), (sr.Method.VI, 44)])
+def test_vi_and_ii_trace_rows_stay_in_zero_one(method, instance):
+    # Unclipped, ii's rows on instance 85 of the suite end at an upper bound
+    # of 1.0000000000000004, and vi's rows on instance 44 at 1.0000000000000002,
+    # while both results read 1.0
+    rng = np.random.default_rng(4242)
+    for _ in range(instance + 1):
+        model, goal = random_model(rng)
+    config = sr.SolverConfig(method=method, epsilon=1e-8, record_trace=True)
+    res = sr.solve(model, goal, config)
+    assert res.upper == 1.0 and len(res.trace) == res.iterations
+    assert all(0.0 <= row.lower <= row.upper <= 1.0 for row in res.trace)
+    assert (res.trace[-1].lower, res.trace[-1].upper) == (res.lower, res.upper)
 
 
 # ---------------------------------------------------------------------------
