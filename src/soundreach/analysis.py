@@ -9,8 +9,9 @@ solver, and the end-component machinery (``mec_decompose``,
 that the certified solvers require.
 
 The searches run over CSR arrays.  ``prob0_max`` and ``_Attractor``, the
-one greatest-fixpoint search, are breadth-first searches over a predecessor
-CSR, each round gathering the entries into a whole frontier at once.
+one greatest-fixpoint search, are breadth-first searches over the model's
+one predecessor CSR (``SparseModel.graph``), each round gathering the
+entries into a whole frontier at once.
 ``prob0_min`` is one run of ``_Attractor``; ``mec_decompose`` alternates it
 with passes of ``_tarjan``, which walks a state-level successor CSR as
 Python lists and also serves ``scc_order``.  Collapse reuses one
@@ -25,7 +26,7 @@ import numpy as np
 
 # validate_model stays imported: perfbench/tracing.py wraps it here.
 from .model import (
-    Direction, Partition, SparseModel, _map_mask, _ranges, _state_mask, submodel, validate_model,
+    Direction, Partition, SparseModel, _map_mask, _state_mask, submodel, validate_model,
 )
 
 __all__ = [
@@ -49,17 +50,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _predecessors(model: SparseModel):
-    """A function mapping states to the indices of the entries into them.
-
-    The predecessor CSR is built once: entry indices grouped by target.
-    """
-    entries = np.argsort(model.entry_target, kind="stable")
-    ptr = np.zeros(model.num_states + 1, dtype=np.int64)
-    np.cumsum(np.bincount(model.entry_target, minlength=model.num_states), out=ptr[1:])
-    return lambda states: entries[_ranges(ptr[states], ptr[states + 1] - ptr[states])]
-
-
 def _distinct(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """``values`` with repeats dropped, using ``slots`` (indexed by value) as
     working space: of the positions written to one slot, exactly one survives.
@@ -80,20 +70,19 @@ def prob0_max(model: SparseModel, goal: np.ndarray) -> np.ndarray:
     the predecessors of the whole frontier at once.
     """
     goal = _state_mask(model, goal)
-    entry_source = np.repeat(model.choice_state(), np.diff(model.choice_start))
-    entries_into = _predecessors(model)
+    graph = model.graph
     can_reach = goal.copy()
     frontier = np.flatnonzero(goal)
     slots = np.empty(model.num_states, dtype=np.int64)
     while len(frontier):
-        sources = entry_source[entries_into(frontier)]
+        sources = graph.entry_source[graph.entries_into(frontier)]
         frontier = _distinct(sources[~can_reach[sources]], slots)
         can_reach[frontier] = True
     return ~can_reach
 
 
 class _Attractor:
-    """The one greatest-fixpoint search, over arrays built once per model.
+    """The one greatest-fixpoint search, over the model's ``graph`` arrays.
 
     ``component_of`` labels the candidate states (-1 for the others).  ``run``
     drops every alive choice that can leave its component, then the
@@ -103,32 +92,28 @@ class _Attractor:
     """
 
     def __init__(self, model: SparseModel, candidates: np.ndarray):
-        n, choice_state = model.num_states, model.choice_state()
-        self.model, self.choice_state = model, choice_state
-        self.entry_count = np.diff(model.choice_start)
-        self.entry_choice = np.repeat(np.arange(model.num_choices), self.entry_count)
-        self.entry_source = choice_state[self.entry_choice]
-        self.entries_into = _predecessors(model)
+        n, graph = model.num_states, model.graph
+        self.model, self.graph = model, graph
         self.component_of = np.where(candidates, 0, -1)
-        self.choice_alive = candidates[choice_state]
-        self.choices_left = np.bincount(choice_state[self.choice_alive], minlength=n)
+        self.choice_alive = candidates[graph.choice_state]
+        self.choices_left = np.bincount(graph.choice_state[self.choice_alive], minlength=n)
         self.state_slots = np.empty(n, dtype=np.int64)
         self.choice_slots = np.empty(model.num_choices, dtype=np.int64)
 
     def run(self) -> bool:
         """Drop what can leave its component and its attractor; True iff any fell."""
-        component_of, choice_alive = self.component_of, self.choice_alive
-        inside = component_of[self.model.entry_target] == component_of[self.entry_source]
+        component_of, choice_alive, graph = self.component_of, self.choice_alive, self.graph
+        inside = component_of[self.model.entry_target] == component_of[graph.entry_source]
         stays = np.logical_and.reduceat(inside, self.model.choice_start[:-1])
         fall = np.flatnonzero(choice_alive & ~stays)
         dropped = len(fall) > 0
         while len(fall):
             choice_alive[fall] = False
-            owners = self.choice_state[fall]
+            owners = graph.choice_state[fall]
             np.subtract.at(self.choices_left, owners, 1)
             dead = _distinct(owners[self.choices_left[owners] == 0], self.state_slots)
             component_of[dead] = -1
-            into = self.entry_choice[self.entries_into(dead)]
+            into = graph.entry_choice[graph.entries_into(dead)]
             fall = _distinct(into[choice_alive[into]], self.choice_slots)
         return dropped
 
@@ -276,23 +261,27 @@ def mec_decompose(model: SparseModel, restrict: np.ndarray | None = None) -> Mec
     run ``_Attractor``, which drops every choice that can leave its
     component and everything that then falls.  Split the components with a
     Tarjan pass over the retained choices, and repeat until a run drops
-    nothing.  MECs come in the completion order of the last pass, each with
-    its states and retained choices ascending; ``mec_of`` and ``choice_mec``
-    label the same states and choices with their MEC's index.
+    nothing (or the first run leaves no candidate, and no MEC).  MECs come
+    in the completion order of the last pass, each with its states and
+    retained choices ascending; ``mec_of`` and ``choice_mec`` label the same
+    states and choices with their MEC's index.
     """
-    n = model.num_states
+    n, graph = model.num_states, model.graph
     alive = np.ones(n, dtype=bool) if restrict is None else _state_mask(model, restrict)
     attractor = _Attractor(model, alive)
     attractor.run()
+    if not (attractor.component_of >= 0).any():
+        none = np.full(model.num_choices, -1, dtype=np.int64)
+        return MecDecomposition(mecs=[], mec_of=attractor.component_of, choice_mec=none)
     while (alive := attractor.component_of >= 0).any():
-        kept = np.repeat(attractor.choice_alive, attractor.entry_count)
-        sources, targets = attractor.entry_source[kept], model.entry_target[kept]
+        kept = np.repeat(attractor.choice_alive, graph.entry_count)
+        sources, targets = graph.entry_source[kept], model.entry_target[kept]
         attractor.component_of = _tarjan(n, sources, targets, np.flatnonzero(alive).tolist())
         if not attractor.run():
             break
 
     component_of, choice_alive = attractor.component_of, attractor.choice_alive
-    choice_mec = np.where(choice_alive, component_of[attractor.choice_state], -1)
+    choice_mec = np.where(choice_alive, component_of[graph.choice_state], -1)
     mecs = list(map(Mec, _groups(component_of), _groups(choice_mec)))
     return MecDecomposition(mecs=mecs, mec_of=component_of, choice_mec=choice_mec)
 
@@ -334,11 +323,11 @@ def collapse_end_components(model: SparseModel, partition: Partition) -> Quotien
     any MEC the input model is returned as an identity quotient.
     """
     decomposition = mec_decompose(model, restrict=partition.maybe)
-    mec_of = decomposition.mec_of
-    members = np.flatnonzero(mec_of >= 0)
-    if not len(members):
+    if not decomposition.mecs:
         identity = np.arange(model.num_states, dtype=np.int64)
         return QuotientMap(model, identity, partition, model.num_choices)
+    mec_of = decomposition.mec_of
+    members = np.flatnonzero(mec_of >= 0)
 
     # Quotient states are numbered by their lowest member: a running count of
     # the states that are their own lowest member.
@@ -350,7 +339,7 @@ def collapse_end_components(model: SparseModel, partition: Partition) -> Quotien
     num_quotient = int(state_map.max()) + 1
 
     kept = np.flatnonzero(decomposition.choice_mec < 0)
-    owner = state_map[model.choice_state()[kept]]
+    owner = state_map[model.graph.choice_state[kept]]
     order = np.argsort(owner, kind="stable")
     quotient = submodel(model, owner[order], kept[order], num_quotient, state_map)
     new_partition = Partition(

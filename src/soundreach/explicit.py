@@ -11,10 +11,12 @@ optionally followed by an action name.  Label files (``.lab``) declare
 ``<from> <choice> <reward>``).  Everywhere, ``#`` starts a comment and blank
 lines are skipped.
 
-One tokenizer, ``_table``, turns transition and reward lines into flat
-arrays; ``load_model`` hands them to the model's validation core, which
-merges duplicate lines and renormalizes rows.  The ``parse_*`` functions
-are dict views over the same tokenizer.
+``_table`` turns transition and reward lines into flat arrays: one
+``np.loadtxt`` call where numpy's reader takes the text (see ``_split``),
+else token by token, the only path that reads action names and quotes a bad
+line in its error.  ``load_model`` hands the arrays to the model's
+validation core, which merges duplicate lines and renormalizes rows.  The
+``parse_*`` functions are dict views over the same arrays.
 """
 
 from __future__ import annotations
@@ -63,6 +65,15 @@ class ModelBundle:
     trew_path: Path | None = None
 
 
+#: numpy releases whose reader's refusals were checked (1.23 read ``1.0`` as an int)
+_LOADTXT = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
+#: ASCII line breaks of ``str.splitlines`` that ``np.loadtxt`` does not break at
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+_CONTENT = re.compile(r"^[^\S\n]*[^\s#]", re.M)  # a line with a token before any #
+#: a table row of ``w`` fields: integer columns, then one float
+_ROW = {w: np.dtype([("ints", np.int64, (w - 1,)), ("value", np.float64)]) for w in (2, 3, 4)}
+
+
 def _content_lines(text: str) -> list[str]:
     stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
     return [line for line in stripped if line]
@@ -81,18 +92,34 @@ def _ints(tokens: list[str], line: str) -> list[int]:
         raise ParseError(f"expected integers in line {line!r}") from None
 
 
-def _table(text, rows, fields, what, check):
-    """Turn ``rows``, the tokens of the last content lines of ``text``, into
+def _split(text: str, header: bool):
+    """The header's tokens (the first content line, when ``header``; else
+    ``[]``) and the token rows after it, or None for ``np.loadtxt`` to read
+    them where the text is ASCII, ``\n`` its only line break, the header its
+    first line and a content line follows (an empty table would warn)."""
+    if _LOADTXT and text.isascii() and not any(c in text for c in _BREAKS):
+        start = text.find("\n") + 1 if header else 0
+        head = text[:start].split("#", 1)[0].split()
+        if bool(head) == header and _CONTENT.search(text, start):
+            return head, None
+    rows = _token_rows(text)
+    return (rows[0], rows[1:]) if header and rows else ([], rows)
+
+
+def _table(text, rows, skip, fields, what, check):
+    """Turn the content lines of ``text`` after the first ``skip`` into
     integer columns (the rows of one array) and a float column, converted
-    exactly as ``int()`` and ``float()`` do.  Also returns ``fail``, which
-    callers call when an array check finds a fault: it walks the lines and
+    exactly as ``int()`` and ``float()`` do, from ``rows``, their tokens, or
+    by ``np.loadtxt`` where ``rows`` is None, unless it refuses the table.
+    Also returns the token rows (None after ``np.loadtxt``) and ``fail``,
+    which callers call when an array check finds a fault: it walks the lines and
     raises the error of the first bad one, quoting it (a wrong field count,
     a bad number, or what ``check(numbers, line)`` raises).
     """
 
     def fail():
-        lines = _content_lines(text)
-        for line, tokens in zip(lines[len(lines) - len(rows):], rows):
+        for line in _content_lines(text)[skip:]:
+            tokens = line.split()
             if len(tokens) not in fields:
                 counts = " or ".join(map(str, fields))
                 raise ParseError(f"{what} line needs {counts} fields: {line!r}")
@@ -107,7 +134,15 @@ def _table(text, rows, fields, what, check):
                 raise DanglingTarget(f"index out of range in line {line!r}")
         raise ParseError(f"malformed {what} lines")
 
-    width, n = fields[0], len(rows)
+    width = fields[0]
+    if rows is None:
+        try:
+            table = np.loadtxt(text.split("\n"), _ROW[width], skiprows=skip, ndmin=1)
+        except ValueError:
+            rows = _token_rows(text)[skip:]
+        else:
+            return np.ascontiguousarray(table["ints"].T), table["value"].copy(), None, fail
+    n = len(rows)
     try:
         if not set(map(len, rows)) <= set(fields):
             raise ValueError
@@ -117,7 +152,7 @@ def _table(text, rows, fields, what, check):
         values = np.fromiter(map(float, tokens[width - 1 :: width]), np.float64, n)
     except (ValueError, OverflowError):
         fail()
-    return ints, values, fail
+    return ints, values, rows, fail
 
 
 class _Transitions(NamedTuple):
@@ -139,17 +174,17 @@ def _read_tra(text: str, arity: int | None = None) -> _Transitions:
     for counts, and :class:`EmptyRowGroup` for more states than lines,
     before anything is allocated per state.  Duplicate lines are kept.
     """
-    rows = _token_rows(text)
-    if not rows:
+    header, rows = _split(text, True)
+    if not header:
         raise ParseError("transition file is empty")
-    header, line = rows[0], " ".join(rows[0])
+    line = " ".join(header)
     if len(header) not in ((arity,) if arity else (2, 3)):
         expected = arity or "2 (chain) or 3 (MDP)"
         raise HeaderMismatch(f"header needs {expected} counts, got {len(header)}: {line!r}")
     counts = _ints(header, line)
     if min(counts) < 0:
         raise HeaderMismatch(f"negative count in header {line!r}")
-    mdp, num_states, rows = len(counts) == 3, counts[0], rows[1:]
+    mdp, num_states = len(counts) == 3, counts[0]
 
     def check(numbers, line):
         for end, state in (("source", numbers[0]), ("target", numbers[-1])):
@@ -159,17 +194,17 @@ def _read_tra(text: str, arity: int | None = None) -> _Transitions:
             raise NonContiguousChoices(f"negative choice index in {line!r}")
 
     what = "MDP transition" if mdp else "chain transition"
-    ints, prob, fail = _table(text, rows, (4, 5) if mdp else (3,), what, check)
+    ints, prob, rows, fail = _table(text, rows, 1, (4, 5) if mdp else (3,), what, check)
+    n = len(prob)
     src, local, dst = ints[0], ints[1], ints[-1]
     top = ints.max(axis=1, initial=0).tolist()
     if ints.min(initial=0) < 0 or top[0] >= num_states or top[-1] >= num_states:
         fail()
-    if len(rows) != counts[-1]:
-        raise HeaderMismatch(f"header declares {counts[-1]} transitions, file has {len(rows)}")
-    if num_states > len(rows):
+    if n != counts[-1]:
+        raise HeaderMismatch(f"header declares {counts[-1]} transitions, file has {n}")
+    if num_states > n:
         raise EmptyRowGroup(
-            f"header declares {num_states} states, but the file has only "
-            f"{len(rows)} transition lines"
+            f"header declares {num_states} states, but the file has only {n} transition lines"
         )
     if not mdp:
         first = np.arange(num_states + 1)
@@ -179,15 +214,15 @@ def _read_tra(text: str, arity: int | None = None) -> _Transitions:
     # 0..k-1 when every number is used; every choice needs a line, so more
     # numbers than lines (or an index that large) fail first.
     sizes = np.zeros(num_states, np.int64)
-    if top[1] < len(rows):
+    if top[1] < n:
         np.maximum.at(sizes, src, local + 1)
     row_group_start = np.zeros(num_states + 1, np.int64)
     sizes.cumsum(out=row_group_start[1:])
     total = int(row_group_start[-1])
     choice = row_group_start[src] + local
     if not (
-        top[1] < len(rows)
-        and total <= len(rows)
+        top[1] < n
+        and total <= n
         and np.count_nonzero(np.bincount(choice, minlength=total)) == total
     ):
         previous = (-1, -1)
@@ -199,7 +234,7 @@ def _read_tra(text: str, arity: int | None = None) -> _Transitions:
     if total != counts[1]:
         raise HeaderMismatch(f"header declares {counts[1]} choices, file has {total}")
     actions = None
-    if max(map(len, rows), default=0) == 5:
+    if rows is not None and max(map(len, rows), default=0) == 5:
         actions = [None] * total
         for i in (i for i, tokens in enumerate(rows) if len(tokens) == 5):
             if actions[choice[i]] not in (None, rows[i][4]):
@@ -268,7 +303,8 @@ def parse_labels(text: str, num_states: int) -> dict[str, np.ndarray]:
 def _read_rewards(text: str, kind: str, check=lambda numbers, line: None):
     """Tokenize a reward file: its key columns, its rewards and ``fail``."""
     fields = (2,) if kind == "state" else (3,)
-    return _table(text, _token_rows(text), fields, f"{kind} reward", check)
+    ints, values, _, fail = _table(text, _split(text, False)[1], 0, fields, f"{kind} reward", check)
+    return ints, values, fail
 
 
 def parse_rewards(text: str, *, kind: str) -> dict:
@@ -289,6 +325,11 @@ def parse_rewards(text: str, *, kind: str) -> dict:
     return out
 
 
+def _read(path) -> str:
+    with open(path) as file:
+        return file.read()
+
+
 def load_model(
     tra_path, lab_path, srew_path=None, trew_path=None
 ) -> ModelBundle:
@@ -297,14 +338,16 @@ def load_model(
     The transition header decides the kind: two counts mean a Markov chain,
     three an MDP.  The ``init`` label must mark exactly one state, which
     becomes the initial state.  State rewards and choice rewards are summed
-    into a single per-choice reward.
+    into a single per-choice reward.  Files are read in text mode (CRLF
+    arrives as ``\n``).  ``np.loadtxt`` reads ASCII tables headed on their
+    first line; action names, odd numbers and faults go token by token.
     """
     tra_path = Path(tra_path)
     lab_path = Path(lab_path)
-    tra = _read_tra(tra_path.read_text())
+    tra = _read_tra(_read(tra_path))
     num_states, num_choices = len(tra.sizes), int(tra.row_group_start[-1])
 
-    labels = parse_labels(lab_path.read_text(), num_states)
+    labels = parse_labels(_read(lab_path), num_states)
     init_states = labels["init"].nonzero()[0] if "init" in labels else ()
     if not len(init_states):
         raise MissingInit(f"{lab_path}: no state carries the 'init' label")
@@ -328,12 +371,12 @@ def load_model(
     # plus its own.
     reward = np.zeros(num_choices)
     if srew_path is not None:
-        (states,), values, fail = _read_rewards(Path(srew_path).read_text(), "state", known)
+        (states,), values, fail = _read_rewards(_read(srew_path), "state", known)
         if states.min(initial=0) < 0 or states.max(initial=0) >= num_states:
             fail()
         reward = np.bincount(states, weights=values, minlength=num_states).repeat(tra.sizes)
     if trew_path is not None:
-        keys, values, fail = _read_rewards(Path(trew_path).read_text(), "choice", known)
+        keys, values, fail = _read_rewards(_read(trew_path), "choice", known)
         owners, local = keys
         if keys.min(initial=0) < 0 or owners.max(initial=0) >= num_states or (
             local >= tra.sizes[owners]

@@ -18,6 +18,7 @@ import enum
 import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,28 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _Graph:
+    """The arrays derived from a model's structure that the graph searches
+    read, built once per model (``SparseModel.graph``) and read-only."""
+
+    def __init__(self, model: SparseModel):
+        self.entry_count = np.diff(model.choice_start)  # entries of each choice
+        self.choice_state = np.arange(model.num_states).repeat(model.group_sizes())
+        self.entry_choice = np.arange(model.num_choices).repeat(self.entry_count)
+        self.entry_source = self.choice_state[self.entry_choice]
+        # the predecessor CSR: entry indices grouped by target, in entry order
+        self.into = np.argsort(model.entry_target, kind="stable")
+        into = np.bincount(model.entry_target, minlength=model.num_states).cumsum()
+        self.into_start = np.concatenate(([0], into))
+        for array in vars(self).values():
+            array.flags.writeable = False
+
+    def entries_into(self, states: np.ndarray) -> np.ndarray:
+        """The indices of the entries into ``states``."""
+        start = self.into_start
+        return self.into[_ranges(start[states], start[states + 1] - start[states])]
+
+
 @dataclass(eq=False)
 class SparseModel:
     """Compressed-row Markov model (chain or decision process).
@@ -120,9 +143,14 @@ class SparseModel:
     def group_sizes(self) -> np.ndarray:
         return np.diff(self.row_group_start)
 
+    @cached_property
+    def graph(self) -> _Graph:
+        """The derived graph arrays, built on first use."""
+        return _Graph(self)
+
     def choice_state(self) -> np.ndarray:
-        """Map each choice index to its owning state."""
-        return np.repeat(np.arange(self.num_states), self.group_sizes())
+        """Map each choice index to its owning state (read-only)."""
+        return self.graph.choice_state
 
     def label_mask(self, name: str) -> np.ndarray:
         try:

@@ -672,3 +672,31 @@ def test_collapse_random_models_preserve_oracle():
             collapsed[quotient.state_map], original, atol=1e-10
         )
     assert checked > 0  # the generator must exercise the non-trivial path
+
+
+def test_one_solve_builds_the_graph_arrays_once(monkeypatch):
+    """The partition, the collapse and the reward checks share one set of
+    derived graph arrays per model, and the arrays are read-only."""
+    from soundreach import model as model_module
+
+    builds = []
+    build = model_module._Graph
+    monkeypatch.setattr(model_module, "_Graph", lambda m: builds.append(m) or build(m))
+    # 0 and 1 form an end component among the undecided states; 0 also
+    # reaches the goal 2
+    mdp = sr.validate_model([[{1: 1.0}, {2: 1.0}], [{0: 1.0}], [{2: 1.0}]], labels={"goal": [2]})
+    result = sr.solve(mdp, "goal", sr.SolverConfig())
+    assert result.value == 1.0 and len(builds) == 1
+    assert len(sr.mec_decompose(mdp, restrict=goal_mask(mdp, 0, 1)).mecs) == 1
+    assert len(builds) == 1
+    assert all(not array.flags.writeable for array in vars(mdp.graph).values())
+
+    builds.clear()
+    chain = sr.validate_model(
+        [[{1: 0.5, 2: 0.5}], [{2: 1.0}], [{2: 1.0}]], rewards=[[1.0], [2.0], [0.0]],
+        labels={"goal": [2]},
+    )
+    config = sr.SolverConfig(objective=sr.Objective.REWARD)
+    assert sr.solve(chain, "goal", config).value == pytest.approx(2.0, abs=1e-6)
+    assert len(builds) == 1
+    assert all(not array.flags.writeable for array in vars(chain.graph).values())

@@ -1,6 +1,8 @@
 """Reading and writing the explicit-state text formats."""
 
+import dataclasses
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 import soundreach as sr
 from conftest import random_model
-from soundreach import parse_labels, parse_mc_tra, parse_mdp_tra, parse_rewards
+from soundreach import explicit, parse_labels, parse_mc_tra, parse_mdp_tra, parse_rewards
 from soundreach.explicit import _content_lines, _ints
 from soundreach.model import ROW_SUM_TOLERANCE, SparseModel, _freeze
 
@@ -766,3 +768,107 @@ def test_named_chain_is_written_as_mdp(tmp_path):
     bundle = sr.load_model(tmp_path / "m.tra", tmp_path / "m.lab")
     assert bundle.kind == "mdp"
     assert_identical(bundle.model, model)
+
+
+# ---------------------------------------------------------------------------
+# the np.loadtxt path against the token path
+# ---------------------------------------------------------------------------
+
+READER_TOKENS = [
+    "+1", "01", "1_0", "٣", "1e0", "1.0", "9223372036854775808", ".5", "5.",
+    "1E+05", "nan", "inf", "-nan", "-0", "1_0.5", "١.5", "0x1", "1e400", "-1",
+]
+READER_TABLES = {  # a table (after its header, if any) and its reader
+    "chain": ("2 3\n0 0 0.5\n0 1 0.5\n1 1 1\n", explicit._read_tra),
+    "mdp": ("2 2 3\n0 0 1 0.5\n0 0 0 0.5\n1 0 1 1\n", explicit._read_tra),
+    "state": ("0 1.5\n1 -2\n", lambda text: explicit._read_rewards(text, "state")[:2]),
+    "choice": ("0 0 1.5\n1 0 -2\n", lambda text: explicit._read_rewards(text, "choice")[:2]),
+}
+
+
+def _reader_corpus(tmp_path):
+    """(reader, text) pairs: written models, then every table with each token
+    in each column, odd line breaks and whitespace, comments, blank lines,
+    action names and empty bodies."""
+    rng = np.random.default_rng(7)
+    corpus = []
+    for i in range(12):
+        model, _ = random_model(rng, force_mdp=i % 3 > 0)
+        init = np.arange(model.num_states) == model.initial_state
+        model = dataclasses.replace(model, labels={"init": init})
+        sr.write_model(model, tmp_path / "m.tra", tmp_path / "m.lab", tmp_path / "m.trew")
+        read_tra = READER_TABLES["mdp" if i % 3 else "chain"][1]
+        corpus.append((read_tra, (tmp_path / "m.tra").read_text()))
+        corpus.append((READER_TABLES["choice"][1], (tmp_path / "m.trew").read_text()))
+    for text, read in READER_TABLES.values():
+        lines = text.splitlines()
+        head = 1 if read is explicit._read_tra else 0
+        for token in READER_TOKENS:
+            for column in range(len(lines[head].split())):
+                fields = lines[head].split()
+                fields[column] = token
+                table = [*lines[:head], " ".join(fields), *lines[head + 1 :]]
+                corpus.append((read, "\n".join(table) + "\n"))
+        row = lines[head]
+        variants = [
+            text.replace("\n", "\r\n"),
+            text.replace(row, row.replace(" ", "\t", 1)),
+            text.replace(row + "\n", row + "\r"),
+            *(text.replace(row, row.replace(" ", c, 1)) for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028"),
+            "# lead\n" + text,
+            "\n" + text,
+            text + "# tail\n",
+            text.replace(row + "\n", row + "\n\n  \n# note\n"),
+            text.replace(row, row + " go"),
+            text.replace(row, row + " # said"),
+            "\n".join(lines[:head]) + "\n" if head else "",
+            "\n".join(lines[:head]) + "\n# none\n" if head else "\n",
+        ]
+        corpus += [(read, variant) for variant in variants]
+    return corpus
+
+
+def _outcome(read, text):
+    """What ``read(text)`` returns, arrays as their bytes, or its error."""
+    try:
+        result = read(text)
+    except Exception as error:  # compared, class and message, across paths
+        return type(error), str(error)
+    return [(a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in result]
+
+
+def test_loadtxt_path_reads_as_the_token_path(tmp_path, monkeypatch):
+    """Each text gives the same arrays (float bits included) or the same
+    error through ``np.loadtxt`` as through the token path forced; written
+    models take the ``np.loadtxt`` path, and no empty body warns."""
+    corpus = _reader_corpus(tmp_path)
+    numpy_reader = explicit._LOADTXT
+    read_by_numpy = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        table = loadtxt(*args, **kwargs)
+        read_by_numpy.append(len(table))
+        return table
+
+    def outcomes():
+        """Each text's outcome, and whether ``np.loadtxt`` read its table."""
+        out = []
+        for read, text in corpus:
+            before = len(read_by_numpy)
+            out.append((_outcome(read, text), len(read_by_numpy) > before))
+        return out
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = outcomes()
+        monkeypatch.setattr(explicit, "_LOADTXT", False)
+        tokens = outcomes()
+    for (_, text), (a, _), (b, by_numpy) in zip(corpus, fast, tokens):
+        assert a == b, text
+        assert not by_numpy
+    if not numpy_reader:
+        pytest.skip(f"numpy {np.__version__} reads every table token by token")
+    by_numpy = [flag for _, flag in fast]
+    assert all(by_numpy[:24]) and sum(by_numpy) > 24  # written files, accepted tokens
