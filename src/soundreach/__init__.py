@@ -34,7 +34,6 @@ from .errors import (
     DanglingTarget,
     EmptyRowGroup,
     HeaderMismatch,
-    InvalidChoiceIndex,
     IterationLimit,
     MalformedCsv,
     MissingInit,
@@ -48,24 +47,18 @@ from .errors import (
     RewardOnMec,
     RowSumError,
     SolverError,
-    TooLargeForOracle,
     UnknownLabelId,
 )
 from .explicit import (
     ModelBundle,
     load_model,
     parse_labels,
-    parse_mc_tra,
-    parse_mdp_tra,
-    parse_rewards,
     write_model,
 )
 from .model import (
     Direction,
     Partition,
-    Scheduler,
     SparseModel,
-    induce_mc,
     make_absorbing,
     validate_model,
 )
@@ -76,16 +69,9 @@ from .solvers import (
     SolveResult,
     SolverConfig,
     TraceRow,
-    bellman_step_f,
-    bellman_step_g,
-    bellman_step_h,
-    decision_value,
-    find_action,
     ii_solve,
-    oracle_solve,
     solve,
     svi_solve,
-    update_global_bounds,
     vi_solve,
 )
 from .variants import topological_solve
@@ -97,18 +83,13 @@ __all__ = [
     # model core
     "SparseModel",
     "Partition",
-    "Scheduler",
     "Direction",
     "validate_model",
     "make_absorbing",
-    "induce_mc",
     # explicit-state formats
     "ModelBundle",
     "load_model",
     "parse_labels",
-    "parse_mc_tra",
-    "parse_mdp_tra",
-    "parse_rewards",
     "write_model",
     # graph analysis
     "SccOrder",
@@ -130,16 +111,9 @@ __all__ = [
     "SolveResult",
     "TraceRow",
     "IterationState",
-    "bellman_step_f",
-    "bellman_step_g",
-    "bellman_step_h",
-    "find_action",
-    "decision_value",
-    "update_global_bounds",
     "svi_solve",
     "vi_solve",
     "ii_solve",
-    "oracle_solve",
     "solve",
     # variants
     "topological_solve",
@@ -153,7 +127,6 @@ __all__ = [
     "DanglingTarget",
     "EmptyRowGroup",
     "NegativeProbability",
-    "InvalidChoiceIndex",
     "ParseError",
     "HeaderMismatch",
     "NonContiguousChoices",
@@ -166,6 +139,5 @@ __all__ = [
     "NotContracting",
     "RewardOnMec",
     "MissingRewardBounds",
-    "TooLargeForOracle",
     "IterationLimit",
 ]

@@ -14,7 +14,6 @@ __all__ = [
     "DanglingTarget",
     "EmptyRowGroup",
     "NegativeProbability",
-    "InvalidChoiceIndex",
     "ParseError",
     "HeaderMismatch",
     "NonContiguousChoices",
@@ -27,7 +26,6 @@ __all__ = [
     "NotContracting",
     "RewardOnMec",
     "MissingRewardBounds",
-    "TooLargeForOracle",
     "IterationLimit",
 ]
 
@@ -50,10 +48,6 @@ class EmptyRowGroup(ModelError):
 
 class NegativeProbability(ModelError):
     """A transition carries a probability outside (0, 1]."""
-
-
-class InvalidChoiceIndex(ModelError):
-    """A scheduler picks a choice index a state does not have."""
 
 
 class ParseError(ModelError):
@@ -103,10 +97,6 @@ class RewardOnMec(SolverError):
 
 class MissingRewardBounds(SolverError):
     """Interval iteration on rewards needs user-supplied initial bounds."""
-
-
-class TooLargeForOracle(SolverError):
-    """The exhaustive reference solver only handles very small instances."""
 
 
 class IterationLimit(SolverError):

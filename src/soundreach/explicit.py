@@ -15,8 +15,7 @@ lines are skipped.
 ``np.loadtxt`` call where numpy's reader takes the text (see ``_split``),
 else token by token, the only path that reads action names and quotes a bad
 line in its error.  ``load_model`` hands the arrays to the model's
-validation core, which merges duplicate lines and renormalizes rows.  The
-``parse_*`` functions are dict views over the same arrays.
+validation core, which merges duplicate lines and renormalizes rows.
 """
 
 from __future__ import annotations
@@ -44,10 +43,7 @@ from .model import SparseModel, _build_model, validate_model
 
 __all__ = [
     "ModelBundle",
-    "parse_mc_tra",
-    "parse_mdp_tra",
     "parse_labels",
-    "parse_rewards",
     "load_model",
     "write_model",
 ]
@@ -55,14 +51,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """A validated model together with where it came from."""
+    """A validated model and the transition format it was read from."""
 
     model: SparseModel
     kind: str  # "mc" or "mdp"
-    tra_path: Path | None = None
-    lab_path: Path | None = None
-    srew_path: Path | None = None
-    trew_path: Path | None = None
 
 
 #: numpy releases whose reader's refusals were checked (1.23 read ``1.0`` as an int)
@@ -167,8 +159,8 @@ class _Transitions(NamedTuple):
     actions: list | None  # action name per choice, when a line names one
 
 
-def _read_tra(text: str, arity: int | None = None) -> _Transitions:
-    """Tokenize a transition file whose header has ``arity`` (or either) counts.
+def _read_tra(text: str) -> _Transitions:
+    """Tokenize a transition file: a chain's or an MDP's.
 
     Line errors come first, in line order; then :class:`HeaderMismatch`
     for counts, and :class:`EmptyRowGroup` for more states than lines,
@@ -178,9 +170,10 @@ def _read_tra(text: str, arity: int | None = None) -> _Transitions:
     if not header:
         raise ParseError("transition file is empty")
     line = " ".join(header)
-    if len(header) not in ((arity,) if arity else (2, 3)):
-        expected = arity or "2 (chain) or 3 (MDP)"
-        raise HeaderMismatch(f"header needs {expected} counts, got {len(header)}: {line!r}")
+    if len(header) not in (2, 3):
+        raise HeaderMismatch(
+            f"header needs 2 (chain) or 3 (MDP) counts, got {len(header)}: {line!r}"
+        )
     counts = _ints(header, line)
     if min(counts) < 0:
         raise HeaderMismatch(f"negative count in header {line!r}")
@@ -243,33 +236,6 @@ def _read_tra(text: str, arity: int | None = None) -> _Transitions:
     return _Transitions("mdp", sizes, row_group_start, choice, dst, prob, actions)
 
 
-def _merged_rows(tra: _Transitions) -> list[dict[int, float]]:
-    """One ``{target: prob}`` dict per choice, duplicates summed in file order."""
-    rows: list[dict[int, float]] = [{} for _ in range(int(tra.row_group_start[-1]))]
-    for c, t, p in zip(tra.choice.tolist(), tra.target.tolist(), tra.prob.tolist()):
-        rows[c][t] = rows[c].get(t, 0.0) + p
-    return rows
-
-
-def parse_mc_tra(text: str) -> list[dict[int, float]]:
-    """Parse Markov chain transitions into one ``{target: prob}`` row per state."""
-    return _merged_rows(_read_tra(text, 2))
-
-
-def parse_mdp_tra(
-    text: str,
-) -> tuple[list[list[dict[int, float]]], list[str | None]]:
-    """Parse MDP transitions into per-state choice lists plus action names.
-
-    Returns ``(groups, choice_labels)`` where ``groups[s][c]`` maps targets to
-    probabilities and ``choice_labels`` is flat in row-group order.
-    """
-    tra = _read_tra(text, 3)
-    rows, start = _merged_rows(tra), tra.row_group_start.tolist()
-    groups = [rows[lo:hi] for lo, hi in zip(start[:-1], start[1:])]
-    return groups, tra.actions or [None] * len(rows)
-
-
 _LABEL_DECL = re.compile(r'(\d+)="([^"]*)"')
 
 
@@ -307,24 +273,6 @@ def _read_rewards(text: str, kind: str, check=lambda numbers, line: None):
     return ints, values, fail
 
 
-def parse_rewards(text: str, *, kind: str) -> dict:
-    """Parse a reward file.
-
-    ``kind="state"`` accepts ``<state> <reward>`` lines and returns
-    ``{state: reward}``; ``kind="choice"`` accepts ``<from> <choice> <reward>``
-    lines and returns ``{(state, choice): reward}``.  Repeated assignments to
-    the same key accumulate.
-    """
-    if kind not in ("state", "choice"):
-        raise ValueError(f"kind must be 'state' or 'choice', got {kind!r}")
-    keys, values, _ = _read_rewards(text, kind)
-    columns = [k.tolist() for k in keys]
-    out: dict = {}
-    for key, value in zip(columns[0] if kind == "state" else zip(*columns), values.tolist()):
-        out[key] = out.get(key, 0.0) + value
-    return out
-
-
 def _read(path) -> str:
     with open(path) as file:
         return file.read()
@@ -342,8 +290,6 @@ def load_model(
     arrives as ``\n``).  ``np.loadtxt`` reads ASCII tables headed on their
     first line; action names, odd numbers and faults go token by token.
     """
-    tra_path = Path(tra_path)
-    lab_path = Path(lab_path)
     tra = _read_tra(_read(tra_path))
     num_states, num_choices = len(tra.sizes), int(tra.row_group_start[-1])
 
@@ -395,14 +341,7 @@ def load_model(
         labels=labels,
         choice_labels=tra.actions,
     )
-    return ModelBundle(
-        model=model,
-        kind=tra.kind,
-        tra_path=tra_path,
-        lab_path=lab_path,
-        srew_path=Path(srew_path) if srew_path else None,
-        trew_path=Path(trew_path) if trew_path else None,
-    )
+    return ModelBundle(model=model, kind=tra.kind)
 
 
 def write_model(

@@ -7,9 +7,9 @@ All probabilities are float64 and every row is renormalized to sum to one
 exactly once, bit for bit, in the one validation core ``_build_model``.  It
 takes flat entry arrays in input order, which ``validate_model`` reads from
 nested lists and ``explicit.load_model`` from files.  ``submodel`` builds
-every derived model (``make_absorbing``, ``induce_mc``, end-component
-quotients) by copying rows that are already validated.  Both merge
-duplicate targets by one rule, ``_merged``.
+every derived model (``make_absorbing``, end-component quotients) by
+copying rows that are already validated.  Both merge duplicate targets by
+one rule, ``_merged``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     DanglingTarget,
     EmptyRowGroup,
-    InvalidChoiceIndex,
     ModelError,
     NegativeProbability,
     RowSumError,
@@ -36,10 +35,8 @@ __all__ = [
     "Direction",
     "SparseModel",
     "Partition",
-    "Scheduler",
     "validate_model",
     "make_absorbing",
-    "induce_mc",
     "submodel",
     "ROW_SUM_TOLERANCE",
 ]
@@ -230,23 +227,6 @@ class Partition:
             and np.array_equal(self.goal, other.goal)
             and np.array_equal(self.maybe, other.maybe)
         )
-
-
-@dataclass(frozen=True)
-class Scheduler:
-    """Positional (memoryless deterministic) choice resolution.
-
-    ``choice_of[s]`` is the local choice index taken in state ``s``.
-    """
-
-    choice_of: np.ndarray
-
-    def __post_init__(self):
-        arr = _integers(self.choice_of, InvalidChoiceIndex, "scheduler")
-        object.__setattr__(self, "choice_of", _freeze(arr))
-
-    def __len__(self) -> int:
-        return len(self.choice_of)
 
 
 # ---------------------------------------------------------------------------
@@ -589,25 +569,3 @@ def make_absorbing(model: SparseModel, states: np.ndarray) -> SparseModel:
     pick = _ranges(model.row_group_start[:-1], sizes)
     pick[mask[owner]] = -1
     return submodel(model, owner, pick, model.num_states)
-
-
-def _checked_choices(model: SparseModel, local) -> np.ndarray:
-    """``local`` (a local choice per state) as int64 indices; non-integers,
-    a wrong length or a choice its state does not have raise
-    :class:`InvalidChoiceIndex`."""
-    local = _integers(local, InvalidChoiceIndex, "scheduler")
-    if len(local) != model.num_states:
-        raise InvalidChoiceIndex("scheduler length does not match state count")
-    sizes = model.group_sizes()
-    bad = np.flatnonzero((local < 0) | (local >= sizes))
-    if len(bad):
-        s = bad[0]
-        raise InvalidChoiceIndex(f"state {s}: choice {local[s]} not in 0..{sizes[s] - 1}")
-    return local
-
-
-def induce_mc(model: SparseModel, scheduler: Scheduler) -> SparseModel:
-    """Restrict an MDP to the single choice per state picked by ``scheduler``."""
-    local = _checked_choices(model, scheduler.choice_of)
-    n = model.num_states
-    return submodel(model, np.arange(n), model.row_group_start[:-1] + local, n)

@@ -12,17 +12,13 @@ update honest when the preferred choice of a state could flip.
 
 ``vi_solve`` and ``ii_solve`` run one Bellman loop, and ``_result`` forms
 every engine's interval.  Every loop sums its choices through the entry
-columns of ``_Kernels``, bit for bit the sums of ``np.add.reduceat``.
-``find_action`` and ``decision_value`` expose the step's choice selection
-and decision value for one state; they run the same kernels as the loop.
-``oracle_solve`` is the exact reference: dense linear algebra for chains,
-exhaustive positional-scheduler enumeration for (small) MDPs.  ``solve``
+columns of ``_Kernels``, bit for bit the sums of ``np.add.reduceat``, and
+choice selection and the decision value exist only there.  ``solve``
 wires graph preprocessing and an engine together for one query.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -35,19 +31,10 @@ from .analysis import (
     reach_partition,
     reward_partition,
 )
-from .errors import (
-    ConfigError,
-    InvalidChoiceIndex,
-    IterationLimit,
-    MissingRewardBounds,
-    NotContracting,
-    RewardOnMec,
-    TooLargeForOracle,
-)
+from .errors import ConfigError, IterationLimit, MissingRewardBounds, RewardOnMec
 # make_absorbing stays imported: perfbench/tracing.py wraps it here.
 from .model import (
-    Direction, Partition, SparseModel, _ValueEnum, _checked_choices, _ranges, _state_mask,
-    make_absorbing,
+    Direction, Partition, SparseModel, _ValueEnum, _ranges, _state_mask, make_absorbing,
 )
 
 __all__ = [
@@ -57,17 +44,10 @@ __all__ = [
     "SolveResult",
     "TraceRow",
     "IterationState",
-    "bellman_step_f",
-    "bellman_step_g",
-    "bellman_step_h",
-    "find_action",
-    "decision_value",
-    "update_global_bounds",
     "neutral_decision",
     "svi_solve",
     "vi_solve",
     "ii_solve",
-    "oracle_solve",
     "solve",
 ]
 
@@ -234,11 +214,10 @@ class _Kernels:
     choices of 3 entries) the columns sum x or y in about 0.25 ms against
     0.6 ms for one gather and ``reduceat``.
 
-    Choice selection (``select``) and the decision-value fold exist only
-    here; ``find_action`` and ``decision_value`` run them for one state.
-    Selection and ``state_opt`` go over *choice columns*: ``columns[j - 1]``
-    holds the states with more than ``j`` choices and their ``j``-th
-    choice.  So a step costs one group of numpy calls per column, ``D - 1``
+    Choice selection (``select``) and the decision-value fold
+    (``_fold_decision``) exist only here.  Selection and ``state_opt`` go
+    over *choice columns*: ``columns[j - 1]`` holds the states with more
+    than ``j`` choices and their ``j``-th choice.  So a step costs one group of numpy calls per column, ``D - 1``
     groups for ``D`` the most choices of any undecided state: cheap for a
     few choices per state, slow for a state with hundreds (one state with
     1,000 choices in a 20,000-state model makes a coupled step about 5 times
@@ -373,12 +352,6 @@ class _Kernels:
         local[self.live] = chosen - self.group_cuts
         return local
 
-    def model_step(self, x) -> np.ndarray:
-        """One Bellman step from a model-order vector, in model order."""
-        out = self.to_model(self.x_start)
-        out[self.live] = self.bellman(self.to_kernel(x))
-        return out
-
     # -- per-choice expectations --------------------------------------------
 
     def choice_x(self, x: np.ndarray) -> np.ndarray:
@@ -441,11 +414,16 @@ class _Kernels:
         return pick
 
     def select(self, cx: np.ndarray, cy: np.ndarray, bound: float) -> np.ndarray:
-        """Per state: index of the choice the certified step takes, by the
-        rule ``find_action`` documents: at a finite bound the best score
-        ``cx + bound * cy`` with exact ties to the smallest y-expectation, at
-        an infinite bound the largest y-expectation with ties to the best
-        x-expectation, and remaining ties to the lowest choice index."""
+        """Per state: index of the choice the certified step takes.
+
+        At a finite ``bound`` it is the best score ``cx + bound * cy``, exact
+        ties to the smallest y-expectation in both directions: the bound
+        only tightens, and that choice keeps the best score as it does, so
+        no tied alternative pins the bound through its decision value.  At
+        an infinite ``bound`` the y-expectation dominates: the largest one,
+        ties to the best x-expectation in the query direction.  Remaining
+        ties go to the lowest choice index.
+        """
         if math.isinf(bound):
             return self._pick(cy, True, cx, self.maximize)
         score = cy * bound
@@ -488,7 +466,18 @@ class _Kernels:
     ) -> float:
         """``decision`` with the decision values of the choices ``cx``/``cy``
         folded in, where each state took the choice worth ``x_chosen`` and
-        ``y_chosen``."""
+        ``y_chosen``.
+
+        An alternative whose y-expectation lies strictly below the chosen
+        one's crosses it at the bound ``(x_alt - x_chosen) / (y_chosen -
+        y_alt)``; maximizing queries keep the largest crossing point (the
+        upper bound must never drop below it), minimizing ones the smallest
+        (the lower bound must never climb above it).  An alternative tied
+        at the current bound would cross exactly there and hold the bound
+        in place for good, but ``select`` leaves no tied alternative with a
+        smaller y-expectation, so exact ties never count.  Near-ties at
+        rounding scale still can.
+        """
         # a chosen choice, and so every choice of a one-choice state, has
         # y_delta == 0 and never counts
         y_delta = y_chosen[self.choice_state]
@@ -508,155 +497,8 @@ class _Kernels:
 
 
 # ---------------------------------------------------------------------------
-# elementary operations: single steps and one-state views of the kernels
+# global bounds
 # ---------------------------------------------------------------------------
-
-
-def bellman_step_f(
-    model: SparseModel,
-    partition: Partition,
-    x: np.ndarray,
-    direction: Direction = Direction.MAXIMIZE,
-) -> np.ndarray:
-    """One synchronous probability step: goal stays 1, sure-zero stays 0."""
-    return _Kernels(model, partition, Objective.PROBABILITY, direction).model_step(x)
-
-
-def bellman_step_g(
-    model: SparseModel,
-    partition: Partition,
-    x: np.ndarray,
-    direction: Direction = Direction.MAXIMIZE,
-) -> np.ndarray:
-    """One synchronous reward step: choice reward plus expected successor value."""
-    return _Kernels(model, partition, Objective.REWARD, direction).model_step(x)
-
-
-def bellman_step_h(
-    model: SparseModel,
-    partition: Partition,
-    y: np.ndarray,
-    scheduler: np.ndarray | None = None,
-) -> np.ndarray:
-    """One step of the stay-undecided probability.
-
-    For chains the single choice per state is used; for MDPs ``scheduler``
-    must give the local choice per state (the one picked for the x-update,
-    so both quantities follow the same resolution); a scheduler of the
-    wrong length or with a choice a state does not have raises
-    :class:`InvalidChoiceIndex`.
-    """
-    kern = _Kernels(model, partition, Objective.PROBABILITY, Direction.MAXIMIZE)
-    if model.is_mc:
-        chosen = kern.group_cuts
-    else:
-        if scheduler is None:
-            raise ConfigError("an MDP y-step needs the scheduler chosen for the x-step")
-        chosen = kern.group_cuts + _checked_choices(model, scheduler)[kern.live]
-    out = np.zeros(model.num_states)
-    out[kern.live] = kern.choice_y(kern.to_kernel(y))[chosen]
-    return out
-
-
-def _one_state_kernels(
-    model: SparseModel, state: int, objective: Objective, direction: Direction
-) -> _Kernels:
-    """Kernels whose only undecided state is ``state``: a vector passed
-    through ``to_kernel`` keeps the caller's values at every other state."""
-    if not 0 <= state < model.num_states:
-        raise InvalidChoiceIndex(f"state {state} not in 0..{model.num_states - 1}")
-    maybe = np.zeros(model.num_states, dtype=bool)
-    maybe[state] = True
-    partition = Partition(s0=~maybe, goal=np.zeros_like(maybe), maybe=maybe)
-    return _Kernels(model, partition, objective, direction)
-
-
-def find_action(
-    model: SparseModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    state: int,
-    bound: float,
-    direction: Direction = Direction.MAXIMIZE,
-    objective: Objective = Objective.PROBABILITY,
-) -> int:
-    """Pick the local choice optimizing ``E[x] + bound * E[y]`` at ``state``.
-
-    With an infinite ``bound`` the y-expectation dominates: it is maximized,
-    with the x-expectation as tie-breaker (optimized in the query
-    direction).  With a finite ``bound`` exact score ties go to the choice
-    with the smallest y-expectation, in both directions: the bound only
-    tightens, and that choice keeps the best score as it does, so no tied
-    alternative pins the bound through its decision value.  Remaining ties
-    resolve to the lowest choice index.  A ``state`` out of range raises
-    :class:`InvalidChoiceIndex`, a NaN ``bound`` (which no score comparison
-    holds for) :class:`ConfigError`.
-    """
-    if math.isnan(bound):
-        raise ConfigError("find_action needs a bound that is not NaN")
-    kern = _one_state_kernels(model, state, objective, direction)
-    cx, cy = kern.choice_x(kern.to_kernel(x)), kern.choice_y(kern.to_kernel(y))
-    return int(kern.select(cx, cy, bound)[0])
-
-
-def decision_value(
-    model: SparseModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    state: int,
-    chosen: int,
-    direction: Direction = Direction.MAXIMIZE,
-    objective: Objective = Objective.PROBABILITY,
-) -> float:
-    """Bound on how far the global bound may move before ``chosen`` flips.
-
-    For every alternative choice whose y-expectation lies strictly below the
-    chosen one's, the crossing point of the two score lines is
-    ``(E_alt[x] - E_chosen[x]) / (E_chosen[y] - E_alt[y])``.  Maximizing
-    queries keep the largest crossing point (the upper bound must never drop
-    below it); minimizing queries keep the smallest (the lower bound must
-    never climb above it).  States without alternatives yield the neutral
-    value.  A ``state`` out of range, or a ``chosen`` that is not one of its
-    local choices, raises :class:`InvalidChoiceIndex`.
-
-    An alternative tied with ``chosen`` at the current bound crosses it
-    exactly there, so its ratio equals the bound and would hold the bound in
-    place for good.  The selection rule of ``find_action`` (ties to the
-    smallest y-expectation) leaves no tied alternative with a smaller
-    y-expectation, so exact ties never contribute.  Near-ties at rounding
-    scale still can.
-    """
-    kern = _one_state_kernels(model, state, objective, direction)
-    cx, cy = kern.choice_x(kern.to_kernel(x)), kern.choice_y(kern.to_kernel(y))
-    if not 0 <= chosen < kern.num_choices:
-        raise InvalidChoiceIndex(
-            f"state {state}: choice {chosen} not in 0..{kern.num_choices - 1}"
-        )
-    with np.errstate(over="ignore"):
-        neutral = neutral_decision(direction)
-        return kern._fold_decision(cx, cy, cx[[chosen]], cy[[chosen]], neutral)
-
-
-def update_global_bounds(
-    x: np.ndarray,
-    y: np.ndarray,
-    partition: Partition,
-    lower: float,
-    upper: float,
-    decision: float,
-    direction: Direction = Direction.MAXIMIZE,
-) -> tuple[float, float]:
-    """Tighten the global bounds from the ratios ``x / (1 - y)``.
-
-    The update only fires when every undecided state has ``y < 1`` (otherwise
-    some ratio is undefined and the previous bounds are kept).  The decision
-    value clamps the bound on the optimizing side so the recorded choices
-    remain optimal for the new bound.
-    """
-    live = partition.maybe_states
-    x_live = x[live]
-    maximize = direction is Direction.MAXIMIZE
-    return _tighten_bounds(x_live, x_live, y[live], lower, upper, decision, maximize)
 
 
 def _tighten_bounds(
@@ -668,12 +510,15 @@ def _tighten_bounds(
     decision: float,
     maximize: bool,
 ) -> tuple[float, float]:
-    """``update_global_bounds`` over the undecided states' values: two value
-    accumulators sharing ``y``.
+    """The global bounds tightened from the undecided states' values: two
+    value accumulators sharing ``y``.
 
     ``lower`` rises to the smallest ratio ``x_low / (1 - y)`` and ``upper``
     falls to the largest ratio ``x_high / (1 - y)``; a one-block run passes
-    the same vector twice, a run of more blocks its low and high accumulators.
+    the same vector twice, a run of more blocks its low and high
+    accumulators.  Nothing moves while some ``y`` is 1 (its ratio is
+    undefined).  The decision value clamps the bound on the optimizing side,
+    so the recorded choices stay optimal for the new bound.
     """
     if y.size == 0 or np.maximum.reduce(y) >= 1.0:
         return lower, upper
@@ -810,10 +655,12 @@ def _certify(
     other block stops once ``y`` is 0 on it or its widest per-state interval
     is narrower than ``2 * epsilon``, and settles to those intervals.  A
     block without cycles takes at most as many sweeps as one path through
-    it has states.  The trace gets one row per sweep, and ``on_iteration``
-    (for one block only) one snapshot.  ``_result`` forms the result, also
-    the partial one of :class:`IterationLimit`, from the initial state's
-    values and its block's bounds: the start bounds until its block runs.
+    it has states.  The trace gets one row per sweep, its bounds clipped
+    into ``[0, 1]`` for a probability query once both are finite, and
+    ``on_iteration`` (for one block only) one unclipped snapshot.
+    ``_result`` forms the result, also the partial one of
+    :class:`IterationLimit`, from the initial state's values and its
+    block's bounds: the start bounds until its block runs.
     """
     maximize = config.direction is Direction.MAXIMIZE
     initial = int(kern.position[model.initial_state])
@@ -854,8 +701,11 @@ def _certify(
                     follow[: hi - lo] = part.choice_x(follow)[chosen]
                 lower, upper = _tighten_bounds(low, high, y_part, lower, upper, decision, maximize)
                 y0 = float(y[initial])
+                finite = math.isfinite(lower) and math.isfinite(upper)
                 if trace is not None:
-                    trace.append(TraceRow(k, lower, upper, decision, y0))
+                    # clipped as the result is once both bounds are finite
+                    row = _clipped(config, lower, upper) if finite else (lower, upper)
+                    trace.append(TraceRow(k, *row, decision, y0))
                 if on_iteration is not None:
                     state = IterationState(
                         k, kern.to_model(x_low), kern.to_model(y), lower, upper, decision,
@@ -864,7 +714,6 @@ def _certify(
                     with np.errstate(**caller):
                         on_iteration(state, previous)
                     previous = state
-                finite = math.isfinite(lower) and math.isfinite(upper)
                 if holds_initial:
                     width = y0 * (upper - lower) if finite else math.inf
                     if x_high is not x_low:
@@ -965,107 +814,6 @@ def _iterate(model: SparseModel, partition: Partition, config: SolverConfig) -> 
             trace.append(TraceRow(k, *row, neutral, math.nan))
         converged = float(np.abs(gap).max()) < threshold
     return _result(config, k, started, trace, converged, float(low[initial]), float(high[initial]))
-
-
-# ---------------------------------------------------------------------------
-# exact reference solver
-# ---------------------------------------------------------------------------
-
-_ORACLE_MAX_STATES = 12
-_ORACLE_MAX_SCHEDULERS = 4096
-
-
-def _chain_values(
-    model: SparseModel,
-    picked: np.ndarray,
-    goal: np.ndarray,
-    objective: Objective,
-) -> np.ndarray:
-    """Exact per-state values of the chain of the ``picked`` choices, one
-    per state."""
-    rows = [model.entries_of(choice) for choice in picked.tolist()]
-    n = model.num_states
-    values = np.zeros(n)
-    if objective is Objective.PROBABILITY:
-        reachable = goal.copy()
-        changed = True
-        while changed:
-            changed = False
-            for s in range(n):
-                if not reachable[s]:
-                    targets, _ = rows[s]
-                    if np.any(reachable[targets]):
-                        reachable[s] = True
-                        changed = True
-        unknown = reachable & ~goal
-        values[goal] = 1.0
-    else:
-        unknown = ~goal
-
-    idx = np.flatnonzero(unknown)
-    if idx.size == 0:
-        return values
-    pos = -np.ones(n, dtype=np.int64)
-    pos[idx] = np.arange(idx.size)
-    matrix = np.eye(idx.size)
-    rhs = np.zeros(idx.size)
-    for row_pos, s in enumerate(idx):
-        targets, probs = rows[s]
-        if objective is Objective.REWARD:
-            rhs[row_pos] += float(model.choice_reward[picked[s]])
-        for t, p in zip(targets.tolist(), probs.tolist()):
-            if unknown[t]:
-                matrix[row_pos, pos[t]] -= p
-            elif goal[t] and objective is Objective.PROBABILITY:
-                rhs[row_pos] += p
-    try:
-        solved = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError:
-        raise NotContracting(
-            "the induced chain keeps probability mass away from the goal"
-        ) from None
-    values[idx] = solved
-    return values
-
-
-def oracle_solve(
-    model: SparseModel,
-    partition: Partition,
-    objective: Objective = Objective.PROBABILITY,
-    direction: Direction = Direction.MAXIMIZE,
-) -> np.ndarray:
-    """Exact per-state values by elimination and exhaustive enumeration.
-
-    Chains are solved by one dense linear solve.  MDPs enumerate every
-    positional scheduler (each induces a chain) and take the per-state
-    optimum; a positional optimum always exists, so this equals the true
-    value function.  Only tiny instances are admitted.
-    """
-    if model.num_states > _ORACLE_MAX_STATES:
-        raise TooLargeForOracle(
-            f"{model.num_states} states exceed the oracle limit of {_ORACLE_MAX_STATES}"
-        )
-    goal = partition.goal
-    sizes = model.group_sizes()
-    scheduler_count = int(np.prod(sizes.astype(np.float64)))
-    if scheduler_count > _ORACLE_MAX_SCHEDULERS:
-        raise TooLargeForOracle(
-            f"{scheduler_count} positional schedulers exceed the oracle limit "
-            f"of {_ORACLE_MAX_SCHEDULERS}"
-        )
-
-    best: np.ndarray | None = None
-    for combo in itertools.product(*(range(int(k)) for k in sizes)):
-        picked = model.row_group_start[:-1] + np.asarray(combo, dtype=np.int64)
-        values = _chain_values(model, picked, goal, objective)
-        if best is None:
-            best = values
-        elif direction is Direction.MAXIMIZE:
-            best = np.maximum(best, values)
-        else:
-            best = np.minimum(best, values)
-    assert best is not None
-    return best
 
 
 # ---------------------------------------------------------------------------

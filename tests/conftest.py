@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import soundreach as sr
+from oracle import oracle_solve
 
 # ---------------------------------------------------------------------------
 # hand-built models
@@ -320,7 +321,7 @@ def _build_suite() -> SuiteData:
             else sr.Objective.PROBABILITY
         )
         solve_model, partition = _prepare(model, goal, objective, direction)
-        oracle = sr.oracle_solve(solve_model, partition, objective, direction)
+        oracle = oracle_solve(solve_model, partition, objective, direction)
 
         if objective is sr.Objective.PROBABILITY:
             bounds = (0.0, 1.0)

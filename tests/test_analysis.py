@@ -10,6 +10,7 @@ import pytest
 
 import soundreach as sr
 from conftest import random_model
+from oracle import oracle_solve
 from soundreach import analysis
 
 
@@ -88,7 +89,7 @@ def test_prob0_random_models_agree_with_oracle():
             (sr.Direction.MINIMIZE, sr.prob0_min),
         ]:
             partition = sr.reach_partition(absorbed, goal, direction)
-            values = sr.oracle_solve(
+            values = oracle_solve(
                 absorbed, partition, sr.Objective.PROBABILITY, direction
             )
             np.testing.assert_array_equal(fn(absorbed, goal), values == 0.0)
@@ -548,10 +549,10 @@ def test_collapse_merges_loop_and_preserves_values():
     assert quotient.state_map[0] == quotient.state_map[1]
     assert quotient.model.num_states == 3
 
-    original = sr.oracle_solve(
+    original = oracle_solve(
         m, partition, sr.Objective.PROBABILITY, sr.Direction.MAXIMIZE
     )
-    collapsed = sr.oracle_solve(
+    collapsed = oracle_solve(
         quotient.model,
         quotient.partition,
         sr.Objective.PROBABILITY,
@@ -659,10 +660,10 @@ def test_collapse_random_models_preserve_oracle():
             assert quotient.model == absorbed
             continue
         checked += 1
-        original = sr.oracle_solve(
+        original = oracle_solve(
             absorbed, partition, sr.Objective.PROBABILITY, sr.Direction.MAXIMIZE
         )
-        collapsed = sr.oracle_solve(
+        collapsed = oracle_solve(
             quotient.model,
             quotient.partition,
             sr.Objective.PROBABILITY,

@@ -10,7 +10,7 @@ import pytest
 
 import soundreach as sr
 from conftest import random_model
-from soundreach import explicit, parse_labels, parse_mc_tra, parse_mdp_tra, parse_rewards
+from soundreach import explicit, parse_labels
 from soundreach.explicit import _content_lines, _ints
 from soundreach.model import ROW_SUM_TOLERANCE, SparseModel, _freeze
 
@@ -40,12 +40,12 @@ MDP_TRA = """\
 
 
 def test_parse_chain():
-    rows = parse_mc_tra(CHAIN_TRA)
+    rows = read_tra(CHAIN_TRA)
     assert rows == [{1: 0.5, 2: 0.5}, {1: 1.0}, {2: 1.0}]
 
 
 def test_parse_mdp():
-    groups, actions = parse_mdp_tra(MDP_TRA)
+    groups, actions = read_tra(MDP_TRA)
     assert groups[0] == [{1: 0.5, 2: 0.5}, {2: 1.0}]
     assert groups[1] == [{1: 1.0}]
     assert groups[2] == [{0: 0.3, 2: 0.7}]
@@ -53,30 +53,30 @@ def test_parse_mdp():
 
 
 def test_comments_and_blank_lines_skipped():
-    rows = parse_mc_tra("# header next\n\n2 2\n0 1 1.0  # hop\n1 1 1.0\n")
+    rows = read_tra("# header next\n\n2 2\n0 1 1.0  # hop\n1 1 1.0\n")
     assert rows == [{1: 1.0}, {1: 1.0}]
 
 
 def test_header_mismatch_on_wrong_counts():
     with pytest.raises(sr.HeaderMismatch):
-        parse_mc_tra("3 5\n0 1 0.5\n0 2 0.5\n1 1 1.0\n2 2 1.0\n")
+        read_tra("3 5\n0 1 0.5\n0 2 0.5\n1 1 1.0\n2 2 1.0\n")
     with pytest.raises(sr.HeaderMismatch):
-        parse_mdp_tra("3 9 6\n" + MDP_TRA.split("\n", 1)[1])
+        read_tra("3 9 6\n" + MDP_TRA.split("\n", 1)[1])
 
 
 def test_chain_line_arity():
     with pytest.raises(sr.ParseError):
-        parse_mc_tra("1 1\n0 0\n")
+        read_tra("1 1\n0 0\n")
 
 
 def test_bad_probability_token():
     with pytest.raises(sr.ParseError):
-        parse_mc_tra("1 1\n0 0 banana\n")
+        read_tra("1 1\n0 0 banana\n")
 
 
 def test_dangling_state_in_tra():
     with pytest.raises(sr.DanglingTarget):
-        parse_mc_tra("2 2\n0 5 1.0\n1 1 1.0\n")
+        read_tra("2 2\n0 5 1.0\n1 1 1.0\n")
 
 
 def test_noncontiguous_choice_indices():
@@ -87,9 +87,9 @@ def test_noncontiguous_choice_indices():
 1 0 1 1.0
 """
     with pytest.raises(sr.NonContiguousChoices):
-        parse_mdp_tra(bad)
+        read_tra(bad)
     with pytest.raises(sr.NonContiguousChoices):
-        parse_mdp_tra("1 1 1\n0 -1 0 1.0\n")
+        read_tra("1 1 1\n0 -1 0 1.0\n")
 
 
 def test_parse_labels():
@@ -111,12 +111,10 @@ def test_labels_need_declarations():
 
 
 def test_parse_rewards_kinds():
-    assert parse_rewards("0 1.5\n2 -0.25\n", kind="state") == {0: 1.5, 2: -0.25}
-    assert parse_rewards("0 1 2.0\n", kind="choice") == {(0, 1): 2.0}
+    assert read_rewards("0 1.5\n2 -0.25\n", "state") == {0: 1.5, 2: -0.25}
+    assert read_rewards("0 1 2.0\n", "choice") == {(0, 1): 2.0}
     with pytest.raises(sr.ParseError):
-        parse_rewards("0 x\n", kind="state")
-    with pytest.raises(ValueError):
-        parse_rewards("", kind="transition")
+        read_rewards("0 x\n", "state")
 
 
 @pytest.fixture
@@ -370,6 +368,33 @@ def reference_parse_rewards(text, kind):
     return out
 
 
+def read_tra(text):
+    """``explicit._read_tra`` in the form of the reference parsers: a chain's
+    ``{target: prob}`` row per state, or an MDP's rows per state and its
+    action names, duplicate lines summed in file order."""
+    tra = explicit._read_tra(text)
+    rows = [{} for _ in range(int(tra.row_group_start[-1]))]
+    for c, t, p in zip(tra.choice.tolist(), tra.target.tolist(), tra.prob.tolist()):
+        rows[c][t] = rows[c].get(t, 0.0) + p
+    if tra.kind == "mc":
+        return rows
+    start = tra.row_group_start.tolist()
+    groups = [rows[lo:hi] for lo, hi in zip(start[:-1], start[1:])]
+    return groups, tra.actions or [None] * len(rows)
+
+
+def read_rewards(text, kind):
+    """``explicit._read_rewards`` in the form of ``reference_parse_rewards``:
+    ``{state: reward}`` or ``{(state, choice): reward}``, repeated keys
+    summed."""
+    keys, values, _ = explicit._read_rewards(text, kind)
+    columns = [k.tolist() for k in keys]
+    out = {}
+    for key, value in zip(columns[0] if kind == "state" else zip(*columns), values.tolist()):
+        out[key] = out.get(key, 0.0) + value
+    return out
+
+
 def reference_load(tra_path, lab_path, srew_path=None, trew_path=None):
     """``load_model`` as dict parsers, a rebuild into nested lists and
     ``reference_validate``."""
@@ -501,9 +526,9 @@ def test_load_and_write_match_references_on_random_models(tmp_path):
             assert_identical(loaded, reference_load(ours[0], ours[1], trew_path=ours[2]))
             text = ours[0].read_text()
             if kind is None and model.is_mc and model.choice_labels is None:
-                assert parse_mc_tra(text) == reference_parse_mc_tra(text)
+                assert read_tra(text) == reference_parse_mc_tra(text)
             else:
-                assert parse_mdp_tra(text) == reference_parse_mdp_tra(text)
+                assert read_tra(text) == reference_parse_mdp_tra(text)
 
 
 def test_load_matches_reference_on_shuffled_duplicated_lines(tmp_path):
@@ -537,10 +562,10 @@ def test_load_matches_reference_on_shuffled_duplicated_lines(tmp_path):
             continue
         assert_identical(sr.load_model(tra, lab, **files).model, want)
         text = tra.read_text()
-        assert parse_mdp_tra(text) == reference_parse_mdp_tra(text)
+        assert read_tra(text) == reference_parse_mdp_tra(text)
         for kind, path in (("state", srew), ("choice", trew)):
             text = path.read_text()
-            assert parse_rewards(text, kind=kind) == reference_parse_rewards(text, kind)
+            assert read_rewards(text, kind) == reference_parse_rewards(text, kind)
 
 
 def random_nested(rng):
@@ -677,15 +702,15 @@ def test_duplicate_lines_are_checked_raw_then_merged(tmp_path):
 @pytest.mark.parametrize("token", ["+1", "0_1", "１", "01"])
 def test_edge_integer_tokens_convert_as_int(token):
     text = f"2 2\n0 {token} 1.0\n1 1 1.0\n"
-    assert parse_mc_tra(text) == reference_parse_mc_tra(text)
-    assert int(token) in parse_mc_tra(text)[0]
+    assert read_tra(text) == reference_parse_mc_tra(text)
+    assert int(token) in read_tra(text)[0]
 
 
 @pytest.mark.parametrize("token", ["+1.0", "1_0e-1", "１", "1e-400", "infinity", "-0.0"])
 def test_edge_float_tokens_convert_as_float(tmp_path, token):
     text = f"1 1\n0 0 {token}\n"
-    assert parse_mc_tra(text) == reference_parse_mc_tra(text)
-    assert parse_rewards(f"0 {token}\n", kind="state") == {0: float(token)}
+    assert read_tra(text) == reference_parse_mc_tra(text)
+    assert read_rewards(f"0 {token}\n", "state") == {0: float(token)}
     tra, lab, srew = tmp_path / "e.tra", tmp_path / "e.lab", tmp_path / "e.srew"
     tra.write_text("1 1\n0 0 1.0\n")
     lab.write_text('0="init"\n0: 0\n')
@@ -709,15 +734,15 @@ def test_oversized_state_count_fails_at_once(tmp_path, text):
     with pytest.raises(sr.EmptyRowGroup, match="1000000000000.*1 transition line"):
         sr.load_model(tra, lab)
     with pytest.raises(sr.EmptyRowGroup):
-        (parse_mc_tra if text.count(" ") == 3 else parse_mdp_tra)(text)
+        read_tra(text)
     assert time.perf_counter() - started < 0.1
 
 
 @pytest.mark.parametrize("header", ["-1 1", "1 -1", "-1 1 1", "1 -1 1"])
 def test_negative_header_count(header):
-    parse = parse_mc_tra if header.count(" ") == 1 else parse_mdp_tra
+    body = "0 0 1.0" if header.count(" ") == 1 else "0 0 0 1.0"
     with pytest.raises(sr.HeaderMismatch):
-        parse(f"{header}\n0 0 1.0\n" if parse is parse_mc_tra else f"{header}\n0 0 0 1.0\n")
+        read_tra(f"{header}\n{body}\n")
 
 
 # ---------------------------------------------------------------------------

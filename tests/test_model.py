@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import soundreach as sr
+from soundreach.model import submodel
 
 
 def test_chain_layout(slow_chain):
@@ -191,8 +192,14 @@ def test_make_absorbing_bad_mask(slow_chain):
         sr.make_absorbing(slow_chain, np.zeros(3, dtype=bool))
 
 
+def one_choice_per_state(model, local):
+    """``submodel`` keeping the local choice ``local[s]`` of every state."""
+    n = model.num_states
+    return submodel(model, np.arange(n), model.row_group_start[:-1] + np.asarray(local), n)
+
+
 def test_induce_mc(branching_mdp):
-    fixed = sr.induce_mc(branching_mdp, sr.Scheduler(np.array([1, 0, 0, 0, 0])))
+    fixed = one_choice_per_state(branching_mdp, [1, 0, 0, 0, 0])
     assert fixed.is_mc
     targets, probs = fixed.entries_of(0)
     np.testing.assert_array_equal(targets, [2, 3])
@@ -203,38 +210,10 @@ def test_induce_mc_keeps_action_names():
     m = sr.validate_model(
         [[{1: 1.0}, {0: 1.0}], [{1: 1.0}]], choice_labels=["go", "stay", None]
     )
-    assert sr.induce_mc(m, sr.Scheduler(np.array([1, 0]))).choice_labels == ("stay", None)
-    assert sr.induce_mc(m, sr.Scheduler(np.array([0, 0]))).choice_labels == ("go", None)
+    assert one_choice_per_state(m, [1, 0]).choice_labels == ("stay", None)
+    assert one_choice_per_state(m, [0, 0]).choice_labels == ("go", None)
     absorbed = sr.make_absorbing(m, np.array([True, False]))
     assert absorbed.choice_labels is None  # a self-loop has no name
-
-
-def test_induce_mc_bad_scheduler(branching_mdp):
-    with pytest.raises(sr.InvalidChoiceIndex):
-        sr.induce_mc(branching_mdp, sr.Scheduler(np.array([0, 0, 0])))
-    with pytest.raises(sr.InvalidChoiceIndex):
-        sr.induce_mc(branching_mdp, sr.Scheduler(np.array([2, 0, 0, 0, 0])))
-
-
-def test_fractional_scheduler_rejected(branching_mdp):
-    # Scheduler and the y-step's scheduler check used to truncate 1.9 to 1
-    with pytest.raises(sr.InvalidChoiceIndex, match="float64"):
-        sr.Scheduler([1.9, 0, 0, 0, 0])
-    goal = np.zeros(5, dtype=bool)
-    goal[4] = True
-    partition = sr.reach_partition(branching_mdp, goal, sr.Direction.MAXIMIZE)
-    with pytest.raises(sr.InvalidChoiceIndex, match="float64"):
-        sr.bellman_step_h(branching_mdp, partition, np.ones(5), np.array([1.9, 0, 0, 0, 0]))
-    assert sr.Scheduler([]).choice_of.dtype == np.int64
-
-
-def test_scheduler_copies_the_callers_choices():
-    # freezing its own copy leaves the caller's array writable
-    choices = np.array([1, 0, 0, 0, 0])
-    scheduler = sr.Scheduler(choices)
-    choices[0] = 0
-    assert scheduler.choice_of.tolist() == [1, 0, 0, 0, 0]
-    assert not scheduler.choice_of.flags.writeable
 
 
 def test_partition_masks_must_partition():

@@ -12,10 +12,13 @@ import pytest
 
 import soundreach as sr
 from conftest import _prepare, random_model
+from oracle import TooLargeForOracle, oracle_solve
 from soundreach import solvers, variants
-from soundreach.solvers import _Kernels, neutral_decision
+from soundreach.solvers import _Kernels, _tighten_bounds, neutral_decision
 
 INF = float("inf")
+MAX, MIN = sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE
+PROB, REWARD = sr.Objective.PROBABILITY, sr.Objective.REWARD
 
 
 def prepared(model, direction=sr.Direction.MAXIMIZE, objective=sr.Objective.PROBABILITY):
@@ -30,24 +33,50 @@ def prepared(model, direction=sr.Direction.MAXIMIZE, objective=sr.Objective.PROB
 # one-step operators
 # ---------------------------------------------------------------------------
 
+# The steps run on a kernel over the prepared partition, from and to
+# model-order vectors: ``to_kernel`` keeps the caller's values at decided
+# states, so a choice reads whatever the vector holds there.
+
+
+def step(model, part, x, direction=MAX, objective=PROB):
+    """One Bellman step (``bellman``), in model order: the decided states
+    keep their fixed values."""
+    kern = _Kernels(model, part, objective, direction)
+    out = kern.to_model(kern.x_start)
+    out[kern.live] = kern.bellman(kern.to_kernel(x))
+    return out
+
+
+def stay_step(model, part, y, scheduler=None):
+    """One step of the stay-undecided probability (``choice_y``), in model
+    order: each undecided state on its local choice in ``scheduler`` (a
+    chain's only one by default), 0 at every decided state."""
+    kern = _Kernels(model, part, PROB, MAX)
+    chosen = kern.group_cuts
+    if scheduler is not None:
+        chosen = chosen + np.asarray(scheduler)[kern.live]
+    out = np.zeros(model.num_states)
+    out[kern.live] = kern.choice_y(kern.to_kernel(y))[chosen]
+    return out
+
 
 def test_bellman_f_pins_and_propagates(slow_chain):
     model, part = prepared(slow_chain)
     x0 = np.zeros(5)
-    x1 = sr.bellman_step_f(model, part, x0)
+    x1 = step(model, part, x0)
     np.testing.assert_allclose(x1, [0, 0, 0, 0, 1])
-    x2 = sr.bellman_step_f(model, part, x1)
+    x2 = step(model, part, x1)
     # state 2 now sees the goal through its 0.3 edge; the sure-loser stays 0
     np.testing.assert_allclose(x2, [0, 0, 0.3, 0, 1])
-    x3 = sr.bellman_step_f(model, part, x2)
+    x3 = step(model, part, x2)
     np.testing.assert_allclose(x3, [0, 0.003, 0.3, 0, 1])
 
 
 def test_bellman_f_direction(branching_mdp):
     model, part = prepared(branching_mdp)
     x = np.array([0.0, 0.0, 0.3, 0.0, 1.0])
-    up = sr.bellman_step_f(model, part, x)
-    down = sr.bellman_step_f(model, part, x, sr.Direction.MINIMIZE)
+    up = step(model, part, x)
+    down = step(model, part, x, MIN)
     # state 0: keep-trying yields 0, jumping yields 0.24
     assert up[0] == pytest.approx(0.24)
     assert down[0] == pytest.approx(0.0)
@@ -60,9 +89,9 @@ def test_bellman_g_adds_reward():
         labels={"init": [0], "goal": [1]},
     )
     part = sr.reward_partition(model, model.label_mask("goal"))
-    g0 = sr.bellman_step_g(model, part, np.zeros(2))
+    g0 = step(model, part, np.zeros(2), objective=REWARD)
     np.testing.assert_allclose(g0, [1.0, 0.0])
-    g1 = sr.bellman_step_g(model, part, g0)
+    g1 = step(model, part, g0, objective=REWARD)
     np.testing.assert_allclose(g1, [1.5, 0.0])
 
 
@@ -70,20 +99,23 @@ def test_bellman_h_shrinks_undecided_mass(slow_chain):
     model, part = prepared(slow_chain)
     y = np.zeros(5)
     y[part.maybe] = 1.0
-    y1 = sr.bellman_step_h(model, part, y)
+    y1 = stay_step(model, part, y)
     np.testing.assert_allclose(y1, [1.0, 1.0, 0.6, 0.0, 0.0])
-    y2 = sr.bellman_step_h(model, part, y1)
+    y2 = stay_step(model, part, y1)
     np.testing.assert_allclose(y2, [1.0, 0.996, 0.6, 0.0, 0.0])
 
 
 def test_bellman_h_needs_scheduler_on_mdp(branching_mdp):
+    # y follows the choice the x-update picked, given per state
     model, part = prepared(branching_mdp)
     y = np.zeros(5)
     y[part.maybe] = 1.0
-    with pytest.raises(sr.ConfigError):
-        sr.bellman_step_h(model, part, y)
-    picked = sr.bellman_step_h(model, part, y, scheduler=np.array([1, 0, 0, 0, 0]))
+    picked = stay_step(model, part, y, scheduler=np.array([1, 0, 0, 0, 0]))
     np.testing.assert_allclose(picked, [0.8, 1.0, 0.6, 0.0, 0.0])
+    # state 0 has two choices: its choice 1, not state 1's row
+    model, part = out_of_range_mdp()
+    y = np.array([1.0, 1.0, 0.0])
+    np.testing.assert_array_equal(stay_step(model, part, y, scheduler=[1, 0, 0]), [1.0, 0.9, 0.0])
 
 
 def test_bellman_steps_with_nothing_undecided():
@@ -96,9 +128,9 @@ def test_bellman_steps_with_nothing_undecided():
     model, part = prepared(model)
     assert not part.maybe.any()
     x = np.array([0.3, 0.7])
-    np.testing.assert_array_equal(sr.bellman_step_f(model, part, x), [0.0, 1.0])
-    np.testing.assert_array_equal(sr.bellman_step_g(model, part, x), [0.0, 0.0])
-    np.testing.assert_array_equal(sr.bellman_step_h(model, part, x), [0.0, 0.0])
+    np.testing.assert_array_equal(step(model, part, x), [0.0, 1.0])
+    np.testing.assert_array_equal(step(model, part, x, objective=REWARD), [0.0, 0.0])
+    np.testing.assert_array_equal(stay_step(model, part, x), [0.0, 0.0])
 
 
 def out_of_range_mdp():
@@ -109,39 +141,29 @@ def out_of_range_mdp():
     return prepared(model)
 
 
-def test_bellman_h_rejects_choices_a_state_lacks():
-    model, part = out_of_range_mdp()
-    y = np.array([1.0, 1.0, 0.0])
-    np.testing.assert_array_equal(
-        sr.bellman_step_h(model, part, y, scheduler=[1, 0, 0]), [1.0, 0.9, 0.0]
-    )
-    # state 0 has two choices, so choice 2 would read state 1's row
-    for scheduler in ([2, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0]):
-        with pytest.raises(sr.InvalidChoiceIndex):
-            sr.bellman_step_h(model, part, y, scheduler=scheduler)
-
-
-def test_one_state_views_reject_indices_out_of_range():
-    model, part = out_of_range_mdp()
-    x = np.array([0.0, 0.0, 1.0])
-    y = np.array([1.0, 1.0, 0.0])
-    # chosen (0, 1) against (0.5, 0.5): the lines cross at bound 1
-    assert sr.decision_value(model, x, y, 0, 1) == 1.0
-    for chosen in (2, -1):
-        with pytest.raises(sr.InvalidChoiceIndex):
-            sr.decision_value(model, x, y, 0, chosen)
-    with pytest.raises(sr.InvalidChoiceIndex):
-        sr.decision_value(model, x, y, 1, 1)
-    for state in (3, -1):
-        with pytest.raises(sr.InvalidChoiceIndex):
-            sr.find_action(model, x, y, state, 1.0)
-        with pytest.raises(sr.InvalidChoiceIndex):
-            sr.decision_value(model, x, y, state, 0)
-
-
 # ---------------------------------------------------------------------------
 # action selection and the decision value
 # ---------------------------------------------------------------------------
+
+# In the models below state 0 is the only undecided state with more than one
+# choice, so a fold over the whole kernel is state 0's decision value.
+
+
+def picks(model, part, x, y, bound, direction=MAX, objective=PROB):
+    """The local choice ``select`` takes at each state, in model order."""
+    kern = _Kernels(model, part, objective, direction)
+    cx, cy = kern.choice_x(kern.to_kernel(x)), kern.choice_y(kern.to_kernel(y))
+    return kern.scheduler(kern.select(cx, cy, bound))
+
+
+def decision(model, part, x, y, local, direction=MAX, objective=PROB):
+    """``_fold_decision`` from the neutral value, with every undecided state
+    on its local choice in ``local``."""
+    kern = _Kernels(model, part, objective, direction)
+    cx, cy = kern.choice_x(kern.to_kernel(x)), kern.choice_y(kern.to_kernel(y))
+    chosen = kern.group_cuts + np.asarray(local)[kern.live]
+    with np.errstate(over="ignore"):
+        return kern._fold_decision(cx, cy, cx[chosen], cy[chosen], neutral_decision(direction))
 
 
 def test_find_action_weighs_bound(branching_mdp):
@@ -150,18 +172,8 @@ def test_find_action_weighs_bound(branching_mdp):
     y = np.array([1.0, 1.0, 0.6, 0.0, 0.0])
     # low bound: undecided mass is worth little, the immediate jump wins;
     # high bound: keeping mass in play wins
-    assert sr.find_action(model, x, y, 0, 0.0) == 1
-    assert sr.find_action(model, x, y, 0, 1.0) == 0
-
-
-def test_find_action_refuses_a_nan_bound(branching_mdp):
-    # every score would be NaN, no comparison would hold, and choice 0 would
-    # come back as if it were the best
-    model, part = prepared(branching_mdp)
-    x = np.array([0.0, 0.0, 0.3, 0.0, 1.0])
-    y = np.array([1.0, 1.0, 0.6, 0.0, 0.0])
-    with pytest.raises(sr.ConfigError):
-        sr.find_action(model, x, y, 0, math.nan)
+    assert picks(model, part, x, y, 0.0)[0] == 1
+    assert picks(model, part, x, y, 1.0)[0] == 0
 
 
 def test_find_action_breaks_ties_low():
@@ -172,7 +184,7 @@ def test_find_action_breaks_ties_low():
     model, part = prepared(model)
     x = np.array([0.0, 1.0, 0.0])
     y = np.array([1.0, 0.0, 0.0])
-    assert sr.find_action(model, x, y, 0, 0.7) == 0
+    assert picks(model, part, x, y, 0.7)[0] == 0
 
 
 # State 0 has two choices tied at the start bound, the lower-indexed one with
@@ -207,16 +219,16 @@ def test_score_ties_go_to_smaller_undecided_mass(case):
     assert scores[0] == scores[1] and cy[0] > cy[1]  # an exact tie
 
     x, y = kern.to_model(kern.x_start), kern.to_model(kern.y_start)
-    picked = sr.find_action(model, x, y, 0, bound, direction)
-    chosen, decision = kern.coupled_step(
+    picked = picks(model, part, x, y, bound, direction)
+    chosen, folded = kern.coupled_step(
         kern.x_start.copy(), kern.y_start.copy(), bound, neutral_decision(direction)
     )
-    assert picked == chosen[0] == 1
+    assert picked[0] == chosen[0] == 1
     # the tied choice adds no crossing point, so the decision value comes
     # from the third choice alone and leaves the start bound free to move
-    assert decision == sr.decision_value(model, x, y, 0, picked, direction)
-    assert decision == pytest.approx(0.5, abs=1e-15)
-    assert 0.0 < decision < 1.0
+    assert folded == decision(model, part, x, y, picked, direction)
+    assert folded == pytest.approx(0.5, abs=1e-15)
+    assert 0.0 < folded < 1.0
 
 
 def test_find_action_unbounded_prefers_survival(branching_mdp):
@@ -227,8 +239,8 @@ def test_find_action_unbounded_prefers_survival(branching_mdp):
     # retrying keeps weight 1.0 in play versus 0.48 for the jump.  The same
     # tilt applies when minimizing — there the implicit weight is -inf, so a
     # larger undecided share again wins the comparison
-    assert sr.find_action(model, x, y, 0, INF) == 0
-    assert sr.find_action(model, x, y, 0, -INF, sr.Direction.MINIMIZE) == 0
+    assert picks(model, part, x, y, INF)[0] == 0
+    assert picks(model, part, x, y, -INF, MIN)[0] == 0
 
 
 def test_find_action_unbounded_secondary_component():
@@ -242,12 +254,11 @@ def test_find_action_unbounded_secondary_component():
         ],
         labels={"init": [0], "goal": [1]},
     )
-    goal = model.label_mask("goal")
-    model = sr.make_absorbing(model, goal)
+    model, part = prepared(model)
     x = np.array([0.0, 1.0, 0.4, 0.0])
     y = np.array([1.0, 0.0, 0.0, 0.0])
-    assert sr.find_action(model, x, y, 0, INF) == 0
-    assert sr.find_action(model, x, y, 0, INF, sr.Direction.MINIMIZE) == 1
+    assert picks(model, part, x, y, INF)[0] == 0
+    assert picks(model, part, x, y, INF, MIN)[0] == 1
 
 
 def test_find_action_reward_counts_immediate_gain():
@@ -256,16 +267,11 @@ def test_find_action_reward_counts_immediate_gain():
         rewards=[[0.0, 5.0], [0.0]],
         labels={"init": [0], "goal": [1]},
     )
+    part = sr.reward_partition(model, model.label_mask("goal"))
     x = np.array([0.0, 0.0])
     y = np.array([0.0, 0.0])
-    picked = sr.find_action(
-        model, x, y, 0, 0.0, sr.Direction.MAXIMIZE, sr.Objective.REWARD
-    )
-    assert picked == 1
-    picked_min = sr.find_action(
-        model, x, y, 0, 0.0, sr.Direction.MINIMIZE, sr.Objective.REWARD
-    )
-    assert picked_min == 0
+    assert picks(model, part, x, y, 0.0, MAX, REWARD)[0] == 1
+    assert picks(model, part, x, y, 0.0, MIN, REWARD)[0] == 0
 
 
 def test_decision_value_hand_computed(branching_mdp):
@@ -274,8 +280,13 @@ def test_decision_value_hand_computed(branching_mdp):
     y = np.array([1.0, 1.0, 0.6, 0.0, 0.0])
     # chosen: retry (X=0, Y=1); alternative: jump (X=0.24, Y=0.48)
     # the alternative overtakes once the bound drops to 0.24/0.52
-    d = sr.decision_value(model, x, y, 0, 0)
+    d = decision(model, part, x, y, [0, 0, 0, 0, 0])
     assert d == pytest.approx(0.24 / 0.52, abs=1e-15)
+    # chosen (0, 1) against (0.5, 0.5): the lines cross at bound 1
+    model, part = out_of_range_mdp()
+    x = np.array([0.0, 0.0, 1.0])
+    y = np.array([1.0, 1.0, 0.0])
+    assert decision(model, part, x, y, [1, 0, 0]) == 1.0
 
 
 def test_decision_value_no_eligible_alternative(branching_mdp):
@@ -284,27 +295,25 @@ def test_decision_value_no_eligible_alternative(branching_mdp):
     y = np.array([1.0, 1.0, 0.6, 0.0, 0.0])
     # chosen: jump (lower y) -> the retry alternative has larger y, so no
     # smaller bound can make the chosen one look worse
-    assert sr.decision_value(model, x, y, 0, 1) == -INF
-    assert (
-        sr.decision_value(model, x, y, 0, 1, sr.Direction.MINIMIZE) == INF
-    )
+    assert decision(model, part, x, y, [1, 0, 0, 0, 0]) == -INF
+    assert decision(model, part, x, y, [1, 0, 0, 0, 0], MIN) == INF
 
 
 def test_decision_value_neutral_on_single_choice(slow_chain):
     model, part = prepared(slow_chain)
     x = np.zeros(5)
     y = np.zeros(5)
-    assert sr.decision_value(model, x, y, 0, 0) == -INF
+    assert decision(model, part, x, y, [0, 0, 0, 0, 0]) == -INF
 
 
 def test_find_action_and_decision_value_follow_the_loop():
     # Replays every sweep of certified runs on random MDPs.  The hook sees
     # each sweep once, paired with the one before, and agrees with the trace.
-    # At each undecided state, the public one-state functions applied to the
-    # previous snapshot must name the choice the loop took, and the state's
-    # decision value must be no looser than the one the loop folded.  A copy
-    # of the rule that sums a row in another order breaks both by a rounding
-    # step now and then.
+    # On one kernel per run, selection applied to the previous snapshot must
+    # name the choice the loop took at each undecided state, and the
+    # decision values of those choices must be no looser than the one the
+    # loop folded.  A copy of the rule that sums a row in another order
+    # breaks both by a rounding step now and then.
     rng = np.random.default_rng(4242)
     visits = 0
     for _ in range(60):
@@ -314,6 +323,7 @@ def test_find_action_and_decision_value_follow_the_loop():
             if model_d.is_mc:  # the collapse left one choice per state
                 continue
             maximize = direction is sr.Direction.MAXIMIZE
+            kern = _Kernels(model_d, part, sr.Objective.PROBABILITY, direction)
             for lower, upper in ((None, None), (0.0, 1.0)):
                 seen = []
                 config = sr.SolverConfig(
@@ -329,23 +339,26 @@ def test_find_action_and_decision_value_follow_the_loop():
                 assert len(result.trace) == len(seen) == result.iterations
                 for (state, previous), row in zip(seen, result.trace):
                     assert state.k == row.k == previous.k + 1
-                    assert (state.lower, state.upper, state.decision) == (
-                        row.lower, row.upper, row.decision,
-                    )
+                    bounds = (state.lower, state.upper)
+                    if all(map(math.isfinite, bounds)):  # rows clip, hooks do not
+                        bounds = tuple(min(max(b, 0.0), 1.0) for b in bounds)
+                    assert (*bounds, state.decision) == (row.lower, row.upper, row.decision)
                     assert state.y[model_d.initial_state] == row.y_init
                 for state, previous in seen:
                     bound = previous.upper if maximize else previous.lower
+                    cx = kern.choice_x(kern.to_kernel(previous.x))
+                    cy = kern.choice_y(kern.to_kernel(previous.y))
+                    chosen = kern.select(cx, cy, bound)
+                    picked = kern.scheduler(chosen)
                     for s in part.maybe_states.tolist():
                         visits += 1
-                        picked = sr.find_action(
-                            model_d, previous.x, previous.y, s, bound, direction
+                        assert picked[s] == state.scheduler[s], (state.k, s)
+                    with np.errstate(over="ignore"):
+                        d = kern._fold_decision(
+                            cx, cy, cx[chosen], cy[chosen], neutral_decision(direction)
                         )
-                        assert picked == state.scheduler[s], (state.k, s)
-                        d = sr.decision_value(
-                            model_d, previous.x, previous.y, s, picked, direction
-                        )
-                        looser = d > state.decision if maximize else d < state.decision
-                        assert not looser, (state.k, s, d, state.decision)
+                    looser = d > state.decision if maximize else d < state.decision
+                    assert not looser, (state.k, d, state.decision)
     assert visits > 1000
 
 
@@ -702,7 +715,7 @@ def test_many_choices_certify_against_the_oracle():
     goal = model.label_mask("goal")
     for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
         model_d, part = prepared(model, direction)
-        exact = sr.oracle_solve(model_d, part, direction=direction)[0]
+        exact = oracle_solve(model_d, part, direction=direction)[0]
         result = sr.solve(model, goal, sr.SolverConfig(direction=direction, epsilon=1e-9))
         assert result.lower - 1e-12 <= exact <= result.upper + 1e-12
 
@@ -712,11 +725,18 @@ def test_many_choices_certify_against_the_oracle():
 # ---------------------------------------------------------------------------
 
 
+def tightened(x, y, part, lower, upper, decision, direction=MAX):
+    """``_tighten_bounds`` over the undecided states of ``part``, one value
+    vector ``x`` serving as both accumulators."""
+    live = part.maybe_states
+    return _tighten_bounds(x[live], x[live], y[live], lower, upper, decision, direction is MAX)
+
+
 def test_update_global_bounds_blocked_while_mass_stuck(slow_chain):
     model, part = prepared(slow_chain)
     x = np.array([0.0, 0.0, 0.3, 0.0, 1.0])
     y = np.array([1.0, 1.0, 0.6, 0.0, 0.0])  # state 0 still fully undecided
-    lo, up = sr.update_global_bounds(x, y, part, 0.0, 1.0, -INF)
+    lo, up = tightened(x, y, part, 0.0, 1.0, -INF)
     assert (lo, up) == (0.0, 1.0)
 
 
@@ -728,7 +748,7 @@ def test_update_global_bounds_ratio_window():
     model, part = prepared(model)
     x = np.array([0.5, 1.0, 0.0])
     y = np.array([0.25, 0.0, 0.0])
-    lo, up = sr.update_global_bounds(x, y, part, 0.0, 1.0, -INF)
+    lo, up = tightened(x, y, part, 0.0, 1.0, -INF)
     # single maybe state: both ratios are x/(1-y) = 0.5/0.75
     assert lo == pytest.approx(2 / 3)
     assert up == pytest.approx(2 / 3)
@@ -738,8 +758,8 @@ def test_update_global_bounds_decision_holds_upper(branching_mdp):
     model, part = prepared(branching_mdp)
     x = np.array([0.2, 0.3, 0.5, 0.0, 1.0])
     y = np.array([0.5, 0.5, 0.25, 0.0, 0.0])
-    plain_lo, plain_up = sr.update_global_bounds(x, y, part, 0.0, 1.0, -INF)
-    held_lo, held_up = sr.update_global_bounds(x, y, part, 0.0, 1.0, 0.95)
+    plain_lo, plain_up = tightened(x, y, part, 0.0, 1.0, -INF)
+    held_lo, held_up = tightened(x, y, part, 0.0, 1.0, 0.95)
     assert held_lo == plain_lo
     assert held_up == pytest.approx(0.95)  # the decision value props the upper bound
     assert plain_up < 0.95
@@ -753,7 +773,7 @@ def test_update_global_bounds_never_widens():
     model, part = prepared(model)
     x = np.array([0.5, 1.0, 0.0])
     y = np.array([0.25, 0.0, 0.0])
-    lo, up = sr.update_global_bounds(x, y, part, 0.68, 0.66, -INF)
+    lo, up = tightened(x, y, part, 0.68, 0.66, -INF)
     assert lo == 0.68 and up == 0.66  # stale tighter bounds win
 
 
@@ -761,9 +781,7 @@ def test_update_global_bounds_min_mirror(two_route_mdp):
     model, part = prepared(two_route_mdp, sr.Direction.MINIMIZE)
     x = np.array([0.1, 0.19, 0.1, 1.0, 1.0, 0.0, 0.0])
     y = np.array([0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    lo, up = sr.update_global_bounds(
-        x, y, part, 0.0, 1.0, 0.05, sr.Direction.MINIMIZE
-    )
+    lo, up = tightened(x, y, part, 0.0, 1.0, 0.05, MIN)
     # minimizing: the decision value can drag the lower bound down,
     # the upper bound comes from the largest ratio
     ratios = [0.1 / 0.6, 0.19, 0.1]
@@ -963,16 +981,16 @@ def test_ii_requires_reward_bounds():
 
 def test_oracle_chain_values(slow_chain):
     model, part = prepared(slow_chain)
-    values = sr.oracle_solve(model, part)
+    values = oracle_solve(model, part)
     np.testing.assert_allclose(values, [0.75, 0.75, 0.75, 0.0, 1.0], atol=1e-12)
 
 
 def test_oracle_two_route_both_directions(two_route_mdp):
     model, part = prepared(two_route_mdp)
-    up = sr.oracle_solve(model, part)
+    up = oracle_solve(model, part)
     np.testing.assert_allclose(up, [0.5, 0.19, 0.1, 1, 1, 0, 0], atol=1e-12)
     model_min, part_min = prepared(two_route_mdp, sr.Direction.MINIMIZE)
-    down = sr.oracle_solve(
+    down = oracle_solve(
         model_min, part_min, direction=sr.Direction.MINIMIZE
     )
     np.testing.assert_allclose(down, [0.152, 0.19, 0.1, 1, 1, 0, 0], atol=1e-12)
@@ -986,7 +1004,7 @@ def test_oracle_against_direct_linear_solve():
         model, goal = random_model(rng, force_mdp=False)
         absorbed = sr.make_absorbing(model, goal)
         part = sr.reach_partition(absorbed, goal, sr.Direction.MAXIMIZE)
-        values = sr.oracle_solve(absorbed, part)
+        values = oracle_solve(absorbed, part)
 
         maybe = np.flatnonzero(part.maybe)
         pos = {int(s): i for i, s in enumerate(maybe)}
@@ -1011,8 +1029,8 @@ def test_oracle_size_limits():
         labels={"init": [0], "goal": [12]},
     )
     model, part = prepared(big)
-    with pytest.raises(sr.TooLargeForOracle):
-        sr.oracle_solve(model, part)
+    with pytest.raises(TooLargeForOracle):
+        oracle_solve(model, part)
 
 
 def test_oracle_scheduler_limit():
@@ -1027,8 +1045,8 @@ def test_oracle_scheduler_limit():
     goal = model.label_mask("goal")
     absorbed = sr.make_absorbing(model, goal)
     part = sr.reach_partition(absorbed, goal, sr.Direction.MAXIMIZE)
-    with pytest.raises(sr.TooLargeForOracle):
-        sr.oracle_solve(absorbed, part)
+    with pytest.raises(TooLargeForOracle):
+        oracle_solve(absorbed, part)
 
 
 def test_oracle_rejects_noncontracting_rewards(slow_chain):
@@ -1037,7 +1055,7 @@ def test_oracle_rejects_noncontracting_rewards(slow_chain):
     absorbed = sr.make_absorbing(slow_chain, goal)
     part = sr.reward_partition(absorbed, goal)
     with pytest.raises(sr.NotContracting):
-        sr.oracle_solve(absorbed, part, sr.Objective.REWARD)
+        oracle_solve(absorbed, part, sr.Objective.REWARD)
 
 
 # ---------------------------------------------------------------------------
@@ -1394,15 +1412,27 @@ def test_probability_results_never_cross_or_leave_zero_one():
                 assert 0.0 <= res.lower <= res.value <= res.upper <= 1.0, res
 
 
-@pytest.mark.parametrize("method, instance", [(sr.Method.II, 85), (sr.Method.VI, 44)])
+@pytest.mark.parametrize(
+    "method, instance",
+    [(sr.Method.II, 85), (sr.Method.VI, 44), (sr.Method.SVI, "F1"), (sr.Method.SVI, "F1 blocks")],
+)
 def test_vi_and_ii_trace_rows_stay_in_zero_one(method, instance):
     # Unclipped, ii's rows on instance 85 of the suite end at an upper bound
-    # of 1.0000000000000004, and vi's rows on instance 44 at 1.0000000000000002,
-    # while both results read 1.0
-    rng = np.random.default_rng(4242)
-    for _ in range(instance + 1):
-        model, goal = random_model(rng)
-    config = sr.SolverConfig(method=method, epsilon=1e-8, record_trace=True)
+    # of 1.0000000000000004, vi's rows on instance 44 at 1.0000000000000002,
+    # and svi's last row on F1, flat and topological, at a lower bound of
+    # 1.0000000000000004, while every result reads 1.0
+    if isinstance(instance, int):
+        rng = np.random.default_rng(4242)
+        for _ in range(instance + 1):
+            model, goal = random_model(rng)
+        config = sr.SolverConfig(method=method, epsilon=1e-8, record_trace=True)
+    else:  # as test_solve_certifies_the_fault_models builds and solves it
+        model = random_value_mdp(300, np.random.default_rng(0))
+        goal = model.label_mask("goal")
+        config = sr.SolverConfig(
+            epsilon=1e-6, max_iterations=1_000, topological=instance == "F1 blocks",
+            record_trace=True,
+        )
     res = sr.solve(model, goal, config)
     assert res.upper == 1.0 and len(res.trace) == res.iterations
     assert all(0.0 <= row.lower <= row.upper <= 1.0 for row in res.trace)
@@ -1449,7 +1479,7 @@ def test_random_models_sound_methods_match_oracle():
         absorbed = sr.make_absorbing(model, goal)
         part = sr.reach_partition(absorbed, goal, sr.Direction.MAXIMIZE)
         quotient = sr.collapse_end_components(absorbed, part)
-        oracle = sr.oracle_solve(quotient.model, quotient.partition)
+        oracle = oracle_solve(quotient.model, quotient.partition)
         want = oracle[quotient.state_map[model.initial_state]]
         assert res.value == pytest.approx(want, abs=1e-8)
         assert res.lower - 1e-12 <= want <= res.upper + 1e-12

@@ -8,6 +8,7 @@ import pytest
 
 import soundreach as sr
 from conftest import random_model
+from oracle import oracle_solve
 from soundreach import variants
 
 
@@ -113,8 +114,8 @@ def test_topological_order_ignores_sure_zero_rows():
     res = sr.solve(model, goal, config)
     assert res.iterations == 6 and res.sound
     absorbed = sr.make_absorbing(model, goal)
-    oracle = sr.oracle_solve(absorbed, sr.reach_partition(absorbed, goal, direction),
-                             direction=direction)
+    oracle = oracle_solve(absorbed, sr.reach_partition(absorbed, goal, direction),
+                          direction=direction)
     # y reaches 0, so the interval is one point, rounded as the oracle's is not
     assert res.lower - 1e-12 <= oracle[model.initial_state] <= res.upper + 1e-12
 
@@ -202,7 +203,7 @@ def test_topological_matches_oracle_randomized(monkeypatch):
             absorbed = sr.make_absorbing(model, goal)
             part = sr.reach_partition(absorbed, goal, sr.Direction.MAXIMIZE)
             quotient = sr.collapse_end_components(absorbed, part)
-            oracle = sr.oracle_solve(quotient.model, quotient.partition)
+            oracle = oracle_solve(quotient.model, quotient.partition)
             want = oracle[quotient.state_map[model.initial_state]]
             assert res.value == pytest.approx(want, abs=1e-8)
             assert res.lower - 1e-12 <= want <= res.upper + 1e-12
@@ -236,7 +237,7 @@ def test_topological_acyclic_mdp_takes_one_sweep_per_state(direction):
             model, part,
             sr.SolverConfig(direction=direction, epsilon=epsilon, topological=True),
         )
-        want = sr.oracle_solve(model, part, direction=direction)[model.initial_state]
+        want = oracle_solve(model, part, direction=direction)[model.initial_state]
         assert np.count_nonzero(part.maybe) == 8
         # the components after the initial state's cannot be reached from it
         assert res.iterations == np.count_nonzero(reachable(model) & part.maybe)
