@@ -15,64 +15,21 @@ Typical use::
 """
 
 from .analysis import (
-    Mec,
-    MecDecomposition,
-    QuotientMap,
-    SccOrder,
-    check_contracting,
-    collapse_end_components,
-    mec_decompose,
-    prob0_max,
-    prob0_min,
-    reach_partition,
-    reward_partition,
-    scc_order,
+    Mec, MecDecomposition, QuotientMap, SccOrder, check_contracting, collapse_end_components,
+    mec_decompose, prob0_max, prob0_min, reach_partition, reward_partition, scc_order,
 )
 from .cli import bench_run, compare_report, run_cli
 from .errors import (
-    ConfigError,
-    DanglingTarget,
-    EmptyRowGroup,
-    HeaderMismatch,
-    IterationLimit,
-    MalformedCsv,
-    MissingInit,
-    MissingRewardBounds,
-    ModelError,
-    MultipleInitStates,
-    NegativeProbability,
-    NonContiguousChoices,
-    NotContracting,
-    ParseError,
-    RewardOnMec,
-    RowSumError,
-    SolverError,
+    ConfigError, DanglingTarget, EmptyRowGroup, HeaderMismatch, IterationLimit, MalformedCsv,
+    MissingInit, MissingRewardBounds, ModelError, MultipleInitStates, NegativeProbability,
+    NonContiguousChoices, NotContracting, ParseError, RewardOnMec, RowSumError, SolverError,
     UnknownLabelId,
 )
-from .explicit import (
-    ModelBundle,
-    load_model,
-    parse_labels,
-    write_model,
-)
-from .model import (
-    Direction,
-    Partition,
-    SparseModel,
-    make_absorbing,
-    validate_model,
-)
+from .explicit import ModelBundle, load_model, parse_labels, write_model
+from .model import Direction, Partition, SparseModel, make_absorbing, validate_model
 from .solvers import (
-    IterationState,
-    Method,
-    Objective,
-    SolveResult,
-    SolverConfig,
-    TraceRow,
-    ii_solve,
-    solve,
-    svi_solve,
-    vi_solve,
+    IterationState, Method, Objective, SolveResult, SolverConfig, TraceRow, ii_solve, solve,
+    svi_solve, vi_solve,
 )
 from .variants import topological_solve
 

@@ -71,14 +71,14 @@ def prob0_max(model: SparseModel, goal: np.ndarray) -> np.ndarray:
     """
     goal = _state_mask(model, goal)
     graph = model.graph
-    can_reach = goal.copy()
-    frontier = np.flatnonzero(goal)
+    cannot = ~goal
+    frontier = goal.nonzero()[0]
     slots = np.empty(model.num_states, dtype=np.int64)
     while len(frontier):
         sources = graph.entry_source[graph.entries_into(frontier)]
-        frontier = _distinct(sources[~can_reach[sources]], slots)
-        can_reach[frontier] = True
-    return ~can_reach
+        frontier = _distinct(sources[cannot[sources]], slots)
+        cannot[frontier] = False
+    return cannot
 
 
 class _Attractor:
@@ -94,7 +94,7 @@ class _Attractor:
     def __init__(self, model: SparseModel, candidates: np.ndarray):
         n, graph = model.num_states, model.graph
         self.model, self.graph = model, graph
-        self.component_of = np.where(candidates, 0, -1)
+        self.component_of = candidates.astype(np.int64) - 1
         self.choice_alive = candidates[graph.choice_state]
         self.choices_left = np.bincount(graph.choice_state[self.choice_alive], minlength=n)
         self.state_slots = np.empty(n, dtype=np.int64)
@@ -105,7 +105,7 @@ class _Attractor:
         component_of, choice_alive, graph = self.component_of, self.choice_alive, self.graph
         inside = component_of[self.model.entry_target] == component_of[graph.entry_source]
         stays = np.logical_and.reduceat(inside, self.model.choice_start[:-1])
-        fall = np.flatnonzero(choice_alive & ~stays)
+        fall = (choice_alive & ~stays).nonzero()[0]
         dropped = len(fall) > 0
         while len(fall):
             choice_alive[fall] = False
@@ -270,7 +270,7 @@ def mec_decompose(model: SparseModel, restrict: np.ndarray | None = None) -> Mec
     alive = np.ones(n, dtype=bool) if restrict is None else _state_mask(model, restrict)
     attractor = _Attractor(model, alive)
     attractor.run()
-    if not (attractor.component_of >= 0).any():
+    if not np.count_nonzero(attractor.component_of >= 0):
         none = np.full(model.num_choices, -1, dtype=np.int64)
         return MecDecomposition(mecs=[], mec_of=attractor.component_of, choice_mec=none)
     while (alive := attractor.component_of >= 0).any():
@@ -320,7 +320,9 @@ def collapse_end_components(model: SparseModel, partition: Partition) -> Quotien
     it.  Their probabilities are redirected through the state map (mass
     staying inside becomes a self-loop), their rewards are preserved.  Goal
     and sure-zero states are not searched and stay as they are.  Without
-    any MEC the input model is returned as an identity quotient.
+    any MEC the input model is returned as an identity quotient.  ``solve``
+    does not call it where every undecided state of a ``reach_partition``
+    has one choice, which leaves no MEC there (see ``solve``).
     """
     decomposition = mec_decompose(model, restrict=partition.maybe)
     if not decomposition.mecs:
@@ -342,10 +344,10 @@ def collapse_end_components(model: SparseModel, partition: Partition) -> Quotien
     owner = state_map[model.graph.choice_state[kept]]
     order = np.argsort(owner, kind="stable")
     quotient = submodel(model, owner[order], kept[order], num_quotient, state_map)
-    new_partition = Partition(
-        s0=_map_mask(partition.s0, state_map, num_quotient),
-        goal=_map_mask(partition.goal, state_map, num_quotient),
-        maybe=_map_mask(partition.maybe, state_map, num_quotient),
+    new_partition = Partition._of(
+        _map_mask(partition.s0, state_map, num_quotient),
+        _map_mask(partition.goal, state_map, num_quotient),
+        _map_mask(partition.maybe, state_map, num_quotient),
     )
     return QuotientMap(quotient, state_map, new_partition, model.num_choices)
 
@@ -366,15 +368,13 @@ def reach_partition(model: SparseModel, goal: np.ndarray, direction: Direction) 
     """
     goal = _state_mask(model, goal)
     zero = prob0_max if direction is Direction.MAXIMIZE else prob0_min
-    s0 = zero(model, goal) & ~goal
-    return Partition(s0=s0, goal=goal, maybe=~(s0 | goal))
+    s0 = zero(model, goal)  # never a goal state
+    # a caller's writable goal mask stays the caller's
+    return Partition._of(s0, goal.copy() if goal.flags.writeable else goal, ~(s0 | goal))
 
 
 def reward_partition(model: SparseModel, goal: np.ndarray) -> Partition:
     """Partition for an expected-reward query: everything outside goal is open."""
     goal = _state_mask(model, goal)
-    return Partition(
-        s0=np.zeros(model.num_states, dtype=bool),
-        goal=goal,
-        maybe=~goal,
-    )
+    kept = goal.copy() if goal.flags.writeable else goal
+    return Partition._of(np.zeros(model.num_states, dtype=bool), kept, ~goal)

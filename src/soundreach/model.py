@@ -77,21 +77,21 @@ class _Graph:
     read, built once per model (``SparseModel.graph``) and read-only."""
 
     def __init__(self, model: SparseModel):
-        self.entry_count = np.diff(model.choice_start)  # entries of each choice
+        cs, target = model.choice_start, model.entry_target
+        self.entry_count = cs[1:] - cs[:-1]  # entries of each choice
         self.choice_state = np.arange(model.num_states).repeat(model.group_sizes())
         self.entry_choice = np.arange(model.num_choices).repeat(self.entry_count)
         self.entry_source = self.choice_state[self.entry_choice]
         # the predecessor CSR: entry indices grouped by target, in entry order
-        self.into = np.argsort(model.entry_target, kind="stable")
-        into = np.bincount(model.entry_target, minlength=model.num_states).cumsum()
-        self.into_start = np.concatenate(([0], into))
+        self.into = target.argsort(kind="stable")
+        self.in_count = np.bincount(target, minlength=model.num_states)
+        self.into_start = np.concatenate(([0], self.in_count.cumsum()))
         for array in vars(self).values():
             array.flags.writeable = False
 
     def entries_into(self, states: np.ndarray) -> np.ndarray:
         """The indices of the entries into ``states``."""
-        start = self.into_start
-        return self.into[_ranges(start[states], start[states + 1] - start[states])]
+        return self.into[_ranges(self.into_start[states], self.in_count[states])]
 
 
 @dataclass(eq=False)
@@ -138,7 +138,7 @@ class SparseModel:
         return self.entry_target[lo:hi], self.entry_prob[lo:hi]
 
     def group_sizes(self) -> np.ndarray:
-        return np.diff(self.row_group_start)
+        return self.row_group_start[1:] - self.row_group_start[:-1]
 
     @cached_property
     def graph(self) -> _Graph:
@@ -160,26 +160,14 @@ class SparseModel:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseModel):
             return NotImplemented
-        if (
-            self.num_states != other.num_states
-            or self.initial_state != other.initial_state
-            or self.choice_labels != other.choice_labels
-        ):
-            return False
-        for a, b in (
-            (self.row_group_start, other.row_group_start),
-            (self.choice_start, other.choice_start),
-            (self.entry_target, other.entry_target),
-        ):
-            if not np.array_equal(a, b):
-                return False
-        if not np.array_equal(self.entry_prob, other.entry_prob):
-            return False
-        if not np.array_equal(self.choice_reward, other.choice_reward):
-            return False
-        if set(self.labels) != set(other.labels):
-            return False
-        return all(np.array_equal(self.labels[k], other.labels[k]) for k in self.labels)
+        arrays = ("row_group_start", "choice_start", "entry_target", "entry_prob", "choice_reward")
+        return (
+            (self.num_states, self.initial_state, self.choice_labels)
+            == (other.num_states, other.initial_state, other.choice_labels)
+            and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays)
+            and set(self.labels) == set(other.labels)
+            and all(np.array_equal(self.labels[k], other.labels[k]) for k in self.labels)
+        )
 
     def __repr__(self) -> str:  # keep reprs short; arrays get noisy
         kind = "mc" if self.is_mc else "mdp"
@@ -195,7 +183,8 @@ class Partition:
 
     ``s0``/``goal``/``maybe`` are boolean masks over the states.  They must be
     pairwise disjoint and together cover every state.  The partition holds
-    frozen copies, so the caller's arrays stay writable.
+    frozen copies, so the caller's arrays stay writable; the package's own
+    partitions come from ``_of``, which checks and copies nothing.
     """
 
     s0: np.ndarray
@@ -215,6 +204,16 @@ class Partition:
                 raise ValueError(f"partition mask {name} must be boolean")
             object.__setattr__(self, name, _freeze(arr.copy()))
 
+    @classmethod
+    def _of(cls, s0: np.ndarray, goal: np.ndarray, maybe: np.ndarray) -> Partition:
+        """A partition of masks that are disjoint and covering by
+        construction, frozen in place: new arrays, or read-only ones."""
+        partition = object.__new__(cls)
+        for name, mask in (("s0", s0), ("goal", goal), ("maybe", maybe)):
+            mask.flags.writeable = False
+            object.__setattr__(partition, name, mask)
+        return partition
+
     @property
     def maybe_states(self) -> np.ndarray:
         return np.flatnonzero(self.maybe)
@@ -222,11 +221,8 @@ class Partition:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return (
-            np.array_equal(self.s0, other.s0)
-            and np.array_equal(self.goal, other.goal)
-            and np.array_equal(self.maybe, other.maybe)
-        )
+        masks = ("s0", "goal", "maybe")
+        return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in masks)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +318,7 @@ def _run_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np
     total = values[heads]
     live = len(lengths) - ending[0] - ending[1]  # runs longer than k
     for k in range(1, len(ending) - 1):
-        total[:live] += values[heads[:live] + k]
+        total[:live] += values[k:][heads[:live]]
         live -= ending[k + 1]
     out = np.empty_like(total)
     out[order] = total
@@ -346,7 +342,7 @@ def _merged(
     ``first`` None.
     """
     key = entry_choice * num_states + entry_target
-    if (key[1:] > key[:-1]).all():
+    if not np.count_nonzero(key[1:] <= key[:-1]):
         return entry_target, entry_prob, lengths, None
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -389,8 +385,7 @@ def _build_model(
         raise DanglingTarget(f"initial state {initial_state} out of range 0..{num_states - 1}")
     if np.count_nonzero(sizes) < num_states:
         raise EmptyRowGroup(f"state {int(np.argmin(sizes))} has no choice")
-    row_group_start = np.zeros(num_states + 1, np.int64)
-    sizes.cumsum(out=row_group_start[1:])
+    row_group_start = np.concatenate(([0], sizes.cumsum()))
     num_choices = int(row_group_start[-1])
 
     def where(choice) -> str:
@@ -416,8 +411,7 @@ def _build_model(
     )
     # each row is summed in the order its targets first appear
     in_order = merged if first is None else merged[np.lexsort((first, entry_choice[first]))]
-    choice_start = np.zeros(num_choices + 1, np.int64)
-    lengths.cumsum(out=choice_start[1:])
+    choice_start = np.concatenate(([0], lengths.cumsum()))
     row_sum = _run_sums(in_order, choice_start[:-1], lengths)
     off = np.abs(row_sum - 1.0)
     if off.max(initial=0.0) > ROW_SUM_TOLERANCE:
@@ -463,9 +457,11 @@ def _build_model(
     )
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(start, start + length)`` over the pairs."""
-    offsets = lengths.cumsum() - lengths
+def _ranges(starts: np.ndarray, lengths: np.ndarray, offsets=None) -> np.ndarray:
+    """Concatenate ``arange(start, start + length)`` over the pairs;
+    ``offsets``, when the caller has them, are ``lengths.cumsum() - lengths``."""
+    if offsets is None:
+        offsets = lengths.cumsum() - lengths
     total = int(offsets[-1] + lengths[-1]) if len(lengths) else 0
     return np.arange(total) + (starts - offsets).repeat(lengths)
 

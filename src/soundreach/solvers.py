@@ -94,9 +94,10 @@ class SolverConfig:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
-        if any(b is not None and math.isnan(b) for b in (self.lower, self.upper)):
+        lower, upper = self.lower, self.upper
+        if (lower is not None and math.isnan(lower)) or (upper is not None and math.isnan(upper)):
             raise ConfigError(f"initial bounds must not be NaN, got [{self.lower}, {self.upper}]")
-        if self.lower is not None and self.upper is not None and self.lower > self.upper:
+        if lower is not None and upper is not None and lower > upper:
             raise ConfigError(
                 f"initial lower bound {self.lower!r} exceeds upper bound {self.upper!r}"
             )
@@ -217,13 +218,15 @@ class _Kernels:
     Choice selection (``select``) and the decision-value fold
     (``_fold_decision``) exist only here.  Selection and ``state_opt`` go
     over *choice columns*: ``columns[j - 1]`` holds the states with more
-    than ``j`` choices and their ``j``-th choice.  So a step costs one group of numpy calls per column, ``D - 1``
-    groups for ``D`` the most choices of any undecided state: cheap for a
-    few choices per state, slow for a state with hundreds (one state with
-    1,000 choices in a 20,000-state model makes a coupled step about 5 times
-    slower, 4.0 against 0.8 ms).  The step's small reductions go through
-    ``ufunc.reduce`` and ``np.count_nonzero``, cheaper per call than the
-    ``ndarray`` methods.
+    than ``j`` choices and their ``j``-th choice.  So a step costs one
+    group of numpy calls per column, ``D - 1`` groups for ``D`` the most
+    choices of any undecided state: cheap for a few choices per state,
+    slow for a state with hundreds (one state with 1,000 choices in a
+    20,000-state model makes a coupled step about 5 times slower, 4.0
+    against 0.8 ms).  Selection compares one complex key per choice, its
+    tie-break in the imaginary part, so a column takes one comparison.
+    The set-up, a fixed cost of every query, and the step's small
+    reductions use the numpy calls with the least overhead per call.
     """
 
     def __init__(
@@ -236,31 +239,32 @@ class _Kernels:
     ):
         maybe = partition.maybe
         n = model.num_states
-        self.order = np.argsort(~maybe if key is None else key, kind="stable")
+        self.order = (~maybe if key is None else key).argsort(kind="stable")
         self.m = m = int(np.count_nonzero(maybe))
         self.live = self.order[:m]
         self.position = np.empty(n, dtype=np.int64)
         self.position[self.order] = np.arange(n)
 
         groups = model.row_group_start
-        first, end = groups[self.live], groups[self.live + 1]
+        first = groups[self.live]
         # goal rows are never read, so choices there make no MDP
-        self.is_mc = bool((model.group_sizes()[~partition.goal] == 1).all())
+        self.is_mc = model.is_mc or not np.count_nonzero(model.group_sizes()[~partition.goal] > 1)
         self.model = model
-        kept = _ranges(first, end - first)
-        self.rewards = model.choice_reward[kept] if objective is Objective.REWARD else None
-        self._index(kept, end - first, 0)
-
-        goal_value = 1.0 if objective is Objective.PROBABILITY else 0.0
-        self.x_start = partition.goal[self.order] * goal_value
-        self.y_start = maybe[self.order] * 1.0
+        self._index(groups[self.live + 1] - first, 0, first=first)
+        reward = objective is Objective.REWARD
+        self.rewards = model.choice_reward[self.kept] if reward else None
+        self.x_start = np.zeros(n) if reward else partition.goal[self.order].astype(np.float64)
+        self.y_start = maybe[self.order].astype(np.float64)
         self.maximize = direction is Direction.MAXIMIZE
 
-    def _index(self, kept: np.ndarray, sizes: np.ndarray, lo: int) -> None:
-        """Index the model choices ``kept``, in kernel order, of states with
-        ``sizes`` choices, their targets shifted by ``-lo``: choice cuts,
-        the sums' gathers, group cuts, choice columns and each choice's
-        state."""
+    def _index(self, sizes: np.ndarray, lo: int, kept=None, first=None) -> None:
+        """Index the model choices ``kept`` (else every choice from ``first``
+        on), in kernel order, of states with ``sizes`` choices, targets
+        shifted by ``-lo``: cuts, the sums' gathers, columns, owners."""
+        self.group_sizes = sizes
+        self.group_cuts = sizes.cumsum() - sizes
+        if kept is None:
+            kept = _ranges(first, sizes, self.group_cuts)
         self.kept = kept
         firsts = self.model.choice_start[kept]
         lengths = self.model.choice_start[kept + 1] - firsts
@@ -268,14 +272,12 @@ class _Kernels:
         self.choice_cuts = lengths.cumsum() - lengths
         self.num_entries = int(self.choice_cuts[-1] + lengths[-1]) if len(kept) else 0
         self._lay_out_sums(firsts, lengths, lo)
-        self.group_sizes = sizes
-        self.group_cuts = sizes.cumsum() - sizes
         self.columns, j, states = [], 1, (sizes > 1).nonzero()[0]
         while states.size:
             self.columns.append((states, self.group_cuts[states] + j))
             j += 1
             states = states[sizes[states] > j]
-        self.choice_state = np.repeat(np.arange(len(sizes)), sizes)
+        self.choice_state = np.arange(len(sizes)).repeat(sizes)
 
     def _lay_out_sums(self, firsts: np.ndarray, lengths: np.ndarray, lo: int) -> None:
         """The entries the per-choice sums gather, for choices whose entries
@@ -298,7 +300,7 @@ class _Kernels:
             entries.append(_ranges(firsts[tail], lengths[tail]))
             entries = np.concatenate(entries)
         else:
-            entries = _ranges(firsts, lengths)
+            entries = _ranges(firsts, lengths, self.choice_cuts)
         targets = self.position[self.model.entry_target[entries]]
         self.sum_targets = targets - lo if lo else targets
         self.sum_probs = self.model.entry_prob[entries]
@@ -331,7 +333,7 @@ class _Kernels:
         part.m, part.is_mc, part.maximize = hi - lo, self.is_mc, self.maximize
         part.model, part.position = self.model, self.position
         part.rewards = None if self.rewards is None else self.rewards[c0:c1]
-        part._index(self.kept[c0:c1], self.group_sizes[lo:hi], lo)
+        part._index(self.group_sizes[lo:hi], lo, self.kept[c0:c1])
         return part
 
     # -- the public edges -----------------------------------------------------
@@ -383,24 +385,20 @@ class _Kernels:
             best[states] = reduce(best[states], choice_vals[cols])
         return best
 
-    def _pick(self, primary, primary_max: bool, secondary, secondary_max: bool) -> np.ndarray:
-        """Per state: the choice with the best ``primary`` value, exact ties
-        to the best ``secondary`` value, remaining ties to the lowest index.
+    def _pick(self, key: np.ndarray, maximize: bool) -> np.ndarray:
+        """Per state: the choice with the best complex ``key``, largest or
+        smallest in numpy's lexicographic order (real parts first, exact
+        ties to the imaginary parts), remaining ties to the lowest index.
 
         Starts at each state's first choice and takes a column's choice
-        only where it is strictly better; ``secondary`` is read only for a
-        column with an exact tie.
+        only where its key is strictly better.
         """
         pick = self.group_cuts
         for states, cols in self.columns:
             every = len(states) == self.m  # then no gather or scatter
             held = pick if every else pick[states]
-            new, old = primary[cols], primary[held]
-            better = new > old if primary_max else new < old
-            tie = new == old
-            if np.count_nonzero(tie):
-                new, old = secondary[cols], secondary[held]
-                better |= tie & (new > old if secondary_max else new < old)
+            new, old = key[cols], key[held]
+            better = new > old if maximize else new < old
             # a column's choice follows every held one, so the larger index
             # is the better one (np.where branches, and on random outcomes
             # costs several times this)
@@ -422,13 +420,23 @@ class _Kernels:
         no tied alternative pins the bound through its decision value.  At
         an infinite ``bound`` the y-expectation dominates: the largest one,
         ties to the best x-expectation in the query direction.  Remaining
-        ties go to the lowest choice index.
+        ties go to the lowest choice index.  Both orders are one complex
+        key per choice, the tie-break in its imaginary part (negated where
+        it runs against the real part).
         """
+        key = np.empty(len(cy), np.complex128)
+        real, imag = key.real, key.imag
         if math.isinf(bound):
-            return self._pick(cy, True, cx, self.maximize)
-        score = cy * bound
-        score += cx
-        return self._pick(score, self.maximize, cy, False)
+            real[:], imag[:] = cy, cx
+            if not self.maximize:
+                np.negative(imag, out=imag)
+            return self._pick(key, True)
+        np.multiply(cy, bound, out=real)
+        real += cx
+        imag[:] = cy
+        if self.maximize:
+            np.negative(imag, out=imag)
+        return self._pick(key, self.maximize)
 
     # -- full iteration steps -------------------------------------------------
 
@@ -610,7 +618,9 @@ def svi_solve(
     ``variants.topological_solve``, which takes no ``on_iteration`` hook:
     passing one raises ``ConfigError``.
     """
-    config = replace(config, method=Method.SVI).validated()
+    if config.method is not Method.SVI:
+        config = replace(config, method=Method.SVI)
+    config = config.validated()
     if config.topological:
         if on_iteration is not None:
             raise ConfigError("the topological variant takes no on_iteration hook")
@@ -683,7 +693,7 @@ def _certify(
     # a decision value can overflow to infinity by design (see
     # _Kernels._fold_decision): one errstate for the loop, not one per sweep,
     # and the hook runs under the caller's own
-    caller = np.geterr()
+    caller = np.geterr() if on_iteration is not None else None
     with np.errstate(over="ignore"):
         for lo, hi in blocks:
             part = kern if hi - lo == kern.m else kern.part(lo, hi)
@@ -751,14 +761,18 @@ def vi_solve(
 
 
 def _ii_start_vectors(kern: _Kernels, config: SolverConfig) -> list[np.ndarray]:
-    """Interval iteration's lower and upper start vectors, in kernel order."""
-    starts = []
-    for side, scalar, default in (("lower", config.lower, 0.0), ("upper", config.upper, 1.0)):
-        if scalar is None and config.objective is Objective.REWARD:
-            raise MissingRewardBounds(f"interval iteration on rewards needs initial {side} bounds")
-        start = kern.x_start.copy()
-        start[: kern.m] = default if scalar is None else scalar
-        starts.append(start)
+    """Interval iteration's lower and upper start vectors, in kernel order.
+    Start bounds that cross once a probability query's defaults 0 and 1
+    fill in the missing one raise :class:`ConfigError`, as svi's do."""
+    lower, upper = config.lower, config.upper
+    if config.objective is Objective.REWARD and None in (lower, upper):
+        side = "lower" if lower is None else "upper"
+        raise MissingRewardBounds(f"interval iteration on rewards needs initial {side} bounds")
+    lower, upper = 0.0 if lower is None else lower, 1.0 if upper is None else upper
+    if lower > upper:
+        raise ConfigError(f"initial lower bound {lower!r} exceeds upper bound {upper!r}")
+    starts = [kern.x_start.copy(), kern.x_start.copy()]
+    starts[0][: kern.m], starts[1][: kern.m] = lower, upper
     return starts
 
 
@@ -845,6 +859,11 @@ def solve(
     ``UnknownLabelId``.  An ``on_iteration`` hook for vi, ii or the
     topological mode raises ``ConfigError`` before any preprocessing.  The
     reported time covers the preprocessing too.
+
+    The collapse and its end-component search are skipped where every
+    undecided state has one choice: an end component there is a closed set
+    without the goal, which ``prob0_max`` has put in ``s0``, so the
+    collapse would be the identity and skipping it changes no number.
     """
     config = config.validated()
     if on_iteration is not None and (config.method is not Method.SVI or config.topological):
@@ -870,7 +889,10 @@ def solve(
         partition = reward_partition(model, goal_mask)
     else:
         partition = reach_partition(model, goal_mask, config.direction)
-        if config.direction is Direction.MAXIMIZE:
+        maybe = partition.maybe
+        if config.direction is Direction.MAXIMIZE and not model.is_mc and (
+            np.count_nonzero(maybe[model.choice_state()]) > np.count_nonzero(maybe)
+        ):
             quotient = collapse_end_components(model, partition)
             model, partition = quotient.model, quotient.partition
 

@@ -701,3 +701,63 @@ def test_one_solve_builds_the_graph_arrays_once(monkeypatch):
     assert sr.solve(chain, "goal", config).value == pytest.approx(2.0, abs=1e-6)
     assert len(builds) == 1
     assert all(not array.flags.writeable for array in vars(chain.graph).values())
+
+
+def _suite_320():
+    """The 320 ``random_model(default_rng(4242))`` instances."""
+    rng = np.random.default_rng(4242)
+    return [random_model(rng) for _ in range(320)]
+
+
+def _assert_partition(partition, n):
+    masks = (partition.s0, partition.goal, partition.maybe)
+    for mask in masks:
+        assert mask.dtype == bool and mask.shape == (n,)
+        assert not mask.flags.writeable
+    total = sum(mask.astype(int) for mask in masks)
+    assert (total == 1).all()  # disjoint and covering
+
+
+def test_package_partitions_are_frozen_disjoint_and_covering():
+    # the package builds its partitions without Partition's checks
+    for model, goal in _suite_320():
+        for direction in sr.Direction:
+            partition = sr.reach_partition(model, goal, direction)
+            _assert_partition(partition, model.num_states)
+            quotient = sr.collapse_end_components(model, partition)
+            _assert_partition(quotient.partition, quotient.model.num_states)
+        _assert_partition(sr.reward_partition(model, goal), model.num_states)
+
+
+def test_a_callers_writable_goal_mask_stays_writable():
+    for model, goal in _suite_320()[:40]:
+        before = goal.copy()
+        assert goal.flags.writeable
+        for objective in sr.Objective:
+            for direction in sr.Direction:
+                config = sr.SolverConfig(objective=objective, direction=direction)
+                try:
+                    sr.solve(model, goal, config)
+                except sr.SolverError:
+                    pass
+        partition = sr.reach_partition(model, goal, sr.Direction.MAXIMIZE)
+        assert goal.flags.writeable and np.array_equal(goal, before)
+        goal[:] = ~goal  # the partition holds its own copy
+        assert np.array_equal(partition.goal, before)
+        goal[:] = before
+
+
+def test_skipped_collapses_would_find_no_end_component():
+    # solve() skips the collapse of a maximal probability query where every
+    # undecided state has one choice (see solve's comment)
+    skipped = 0
+    for model, goal in _suite_320():
+        partition = sr.reach_partition(model, goal, sr.Direction.MAXIMIZE)
+        maybe = partition.maybe
+        choices = np.count_nonzero(maybe[model.choice_state()])
+        if not model.is_mc and choices > np.count_nonzero(maybe):
+            continue
+        skipped += 1
+        assert sr.mec_decompose(model, restrict=maybe).mecs == []
+        assert sr.collapse_end_components(model, partition).is_identity
+    assert skipped > 100

@@ -1483,3 +1483,18 @@ def test_random_models_sound_methods_match_oracle():
         want = oracle[quotient.state_map[model.initial_state]]
         assert res.value == pytest.approx(want, abs=1e-8)
         assert res.lower - 1e-12 <= want <= res.upper + 1e-12
+
+
+def test_interval_iteration_refuses_start_bounds_that_cross_after_the_defaults():
+    # the value is 0.6; a lower bound above the default upper bound 1, or an
+    # upper bound below the default lower bound 0, is no interval at all
+    model = sr.validate_model(
+        [[{0: 0.5, 1: 0.3, 2: 0.2}], [{1: 1.0}], [{2: 1.0}]],
+        labels={"init": [0], "goal": [1]},
+    )
+    for bounds in ({"lower": 2.0}, {"upper": -1.0}):
+        for method in (sr.Method.II, sr.Method.SVI):
+            with pytest.raises(sr.ConfigError, match="exceeds"):
+                sr.solve(model, "goal", sr.SolverConfig(method=method, **bounds))
+    result = sr.solve(model, "goal", sr.SolverConfig(method=sr.Method.II, lower=0.5))
+    assert result.sound and result.lower <= 0.6 <= result.upper
