@@ -10,7 +10,10 @@ reader and once token by token, and then answered by ``solve`` for both
 directions, for probabilities, rewards without bounds and rewards in
 ``[-100, 100]``, by vi, ii, svi and topological svi (epsilon 1e-8, at most
 3,000 sweeps).  A record holds the value and the interval as
-``float.hex``, the sweep count, the ``sound`` flag and the error class.
+``float.hex``, the sweep count, the ``sound`` flag and the error class; an
+svi record (flat or topological) also holds a hash of its trace rows, each
+row's lower and upper bound, decision value and ``y_init`` as
+``float.hex``, which pins the values of every sweep, not only the last.
 
 The golden records were made with numpy 2.4; another numpy may round a sum
 differently, so the test skips there.  To write them again, run
@@ -19,6 +22,7 @@ differently, so the test skips there.  To write them again, run
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -114,6 +118,17 @@ QUERIES = [
 ]
 
 
+def trace_hash(trace) -> str:
+    """`` trace=<hash>`` of an svi result's trace rows, else nothing."""
+    if trace is None:
+        return ""
+    rows = (
+        " ".join(float(v).hex() for v in (row.lower, row.upper, row.decision, row.y_init))
+        for row in trace
+    )
+    return " trace=" + hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16]
+
+
 def records(folder: Path) -> list[str]:
     """One record per model and query, each model loaded from its files."""
     out = []
@@ -125,6 +140,7 @@ def records(folder: Path) -> list[str]:
             config = sr.SolverConfig(
                 method=method, direction=direction, objective=objective, epsilon=1e-8,
                 topological=topological, lower=lower, upper=upper, max_iterations=3000,
+                record_trace=method is sr.Method.SVI,
             )
             key = f"{i} {direction.value} {objective.value} {lower} {method.value} {topological}"
             try:
@@ -133,7 +149,7 @@ def records(folder: Path) -> list[str]:
                 out.append(f"{key}: {type(error).__name__}")
                 continue
             numbers = " ".join(float(v).hex() for v in (r.value, r.lower, r.upper))
-            out.append(f"{key}: {numbers} {r.iterations} {r.sound}")
+            out.append(f"{key}: {numbers} {r.iterations} {r.sound}{trace_hash(r.trace)}")
     return out
 
 
