@@ -19,6 +19,7 @@ wires graph preprocessing and an engine together for one query.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -188,32 +189,48 @@ class _Kernels:
     (ascending state order without one; ``order[i]`` is the state at
     position ``i``, ``position`` the inverse).  A ``key`` must be lower at
     every undecided state than at any decided one.  Only the undecided
-    states' choices are kept, in position order; each choice's entries stay
-    in model order with targets renumbered into live-first order, so every
-    per-choice sum adds the products the whole model would add, in the same
-    order (goal entries are not folded into a per-choice constant, which
-    would reorder the sums and move results by an ulp).  Positions
-    ``m:`` hold the fixed values of the decided states, as in
-    ``x_start``/``y_start`` (the goal value at goal states, 0 at sure-zero
-    states, ``y = 0`` at both), and no step writes them.  Choice indices
-    are indices into the kept choices.
+    states' choices are kept; each choice's entries stay in model order
+    with targets renumbered into live-first order, so every per-choice sum
+    adds the products the whole model would add, in the same order (goal
+    entries are not folded into a per-choice constant, which would reorder
+    the sums and move results by an ulp).  Positions ``m:`` hold the fixed
+    values of the decided states, as in ``x_start``/``y_start`` (the goal
+    value at goal states, 0 at sure-zero states, ``y = 0`` at both), and
+    no step writes them.
 
-    The kernel keeps the model choice of each kept choice (``kept``) and
-    gathers its entries' targets and probabilities straight from the model
-    into the layout of the per-choice sums (``choice_x``/``choice_y``),
-    which go over *entry columns*.  The kept choices of at most
-    ``_COLUMN_ENTRIES`` entries are sorted by entry count, longest first,
-    once per kernel, so that column ``j`` holds the ``j``-th entry of the
+    Choices are in one *kernel order*, the order in which the per-choice
+    sums (``choice_x``/``choice_y``) come out: ``kept`` is the model choice
+    of each, and every choice index (``first``, ``columns``,
+    ``choice_state``, ``rewards``, the picks of ``select``) counts in it.
+    *State order* lists each undecided state's choices together, states
+    in position order (``group_cuts``, ``group_sizes``); ``state_order``
+    maps each kernel choice to its index there, None where the two agree.
+    A kernel of fewer than ``_COLUMN_CHOICES`` kept choices, whose set-up
+    the columns below would not repay, sums in state order with one gather
+    and ``np.add.reduceat``.  A larger one sums over *entry columns*: its
+    choices of more than ``_COLUMN_ENTRIES`` entries come first and go to
+    a ``reduceat`` tail, and the others follow sorted by entry count,
+    longest first, so that column ``j`` holds the ``j``-th entry of the
     first ``c_j`` of them.  A sum gathers all products into one buffer,
     adds columns ``2, 3, ...`` into column 1 and then column 1 into column
-    0, and maps the sums back to kernel order with one gather.  Each
-    choice's sum is then ``p0 + ((p1 + p2) + ...)``, the additions of
-    ``np.add.reduceat`` in its order, so the sums are the same bit for bit.
-    Longer choices go to a ``reduceat`` tail, and so does every choice of a
-    kernel with fewer than ``_COLUMN_CHOICES`` kept choices, whose set-up
-    the columns would not repay.  On a 20,000-state random MDP (40,000
-    choices of 3 entries) the columns sum x or y in about 0.25 ms against
-    0.6 ms for one gather and ``reduceat``.
+    0, where the sums lie in kernel order after the tail's.  Each choice's
+    sum is ``p0 + ((p1 + p2) + ...)``, the additions of ``np.add.reduceat``
+    in its order, so the sums are the same bit for bit.  On a 20,000-state
+    random MDP (40,000 choices of 3 entries) the columns sum x or y in
+    about 0.2 ms against 0.6 ms for one gather and ``reduceat``.
+
+    A large kernel of a probability query also drops from its column
+    choices every entry but the head that leads into a sure-zero state
+    (``partition.s0``), a quarter of the leaky walk's entries.  Its product
+    is +0.0, which leaves every partial sum it would join as it is unless
+    that sum is -0.0.  A sum is -0.0 only where its products are, so only
+    from a -0.0 value or a negative product that underflows, and a
+    probability vector holds values of +0.0 or more, but for interval
+    iteration's from a negative start bound (``_ii_start_vectors`` turns a
+    start bound of -0.0 into +0.0).  The head stays, because the next
+    entry would start the sum in its place and re-associate the rest, and
+    longer choices stay whole, because the pairwise blocks in which
+    ``reduceat`` adds them depend on their length.
 
     Choice selection (``select``) and the decision-value fold
     (``_fold_decision``) exist only here.  Selection and ``state_opt`` go
@@ -224,7 +241,9 @@ class _Kernels:
     slow for a state with hundreds (one state with 1,000 choices in a
     20,000-state model makes a coupled step about 5 times slower, 4.0
     against 0.8 ms).  Selection compares one complex key per choice, its
-    tie-break in the imaginary part, so a column takes one comparison.
+    tie-break in the imaginary part, so a column takes one comparison;
+    remaining ties go to the lowest local choice, whatever the kernel
+    order.
     The set-up, a fixed cost of every query, and the step's small
     reductions use the numpy calls with the least overhead per call.
     """
@@ -246,77 +265,107 @@ class _Kernels:
         self.position[self.order] = np.arange(n)
 
         groups = model.row_group_start
-        first = groups[self.live]
         # goal rows are never read, so choices there make no MDP
         self.is_mc = model.is_mc or not np.count_nonzero(model.group_sizes()[~partition.goal] > 1)
         self.model = model
-        self._index(groups[self.live + 1] - first, 0, first=first)
         reward = objective is Objective.REWARD
-        self.rewards = model.choice_reward[self.kept] if reward else None
+        self._reward, self._zero = reward, None if reward else partition.s0
+        first = groups[self.live]
+        self._index(first, groups[self.live + 1] - first, 0)
         self.x_start = np.zeros(n) if reward else partition.goal[self.order].astype(np.float64)
         self.y_start = maybe[self.order].astype(np.float64)
         self.maximize = direction is Direction.MAXIMIZE
 
-    def _index(self, sizes: np.ndarray, lo: int, kept=None, first=None) -> None:
-        """Index the model choices ``kept`` (else every choice from ``first``
-        on), in kernel order, of states with ``sizes`` choices, targets
-        shifted by ``-lo``: cuts, the sums' gathers, columns, owners."""
+    def _index(self, first: np.ndarray, sizes: np.ndarray, lo: int) -> None:
+        """Index the choices of the states whose ``sizes`` choices start at
+        model choice ``first``, targets shifted by ``-lo``: the sums' layout,
+        which fixes the kernel order, and the index arrays in that order."""
         self.group_sizes = sizes
         self.group_cuts = sizes.cumsum() - sizes
-        if kept is None:
-            kept = _ranges(first, sizes, self.group_cuts)
-        self.kept = kept
-        firsts = self.model.choice_start[kept]
-        lengths = self.model.choice_start[kept + 1] - firsts
+        kept = _ranges(first, sizes, self.group_cuts)
         self.num_choices = len(kept)
-        self.choice_cuts = lengths.cumsum() - lengths
-        self.num_entries = int(self.choice_cuts[-1] + lengths[-1]) if len(kept) else 0
-        self._lay_out_sums(firsts, lengths, lo)
-        self.columns, j, states = [], 1, (sizes > 1).nonzero()[0]
+        owner = np.arange(len(sizes)).repeat(sizes)
+        self.state_order = order = self._lay_out_sums(kept, lo)
+        firsts, self.columns, j = self.group_cuts, [], 1
+        states = (sizes > 1).nonzero()[0]
+        if order is not None:
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            kept, owner, firsts = kept[order], owner[order], rank[firsts]
         while states.size:
-            self.columns.append((states, self.group_cuts[states] + j))
+            cols = self.group_cuts[states] + j
+            self.columns.append((states, cols if order is None else rank[cols]))
             j += 1
             states = states[sizes[states] > j]
-        self.choice_state = np.arange(len(sizes)).repeat(sizes)
+        self.kept, self.choice_state, self.first = kept, owner, firsts
+        if self.columns:
+            self._held = firsts[self.columns[0][0]]
+            self._flip = self._held ^ self.columns[0][1]
+        self.rewards = self.model.choice_reward[kept] if self._reward else None
+        key = np.empty(len(kept), np.complex128)
+        self._key = key, key.real, key.imag
 
-    def _lay_out_sums(self, firsts: np.ndarray, lengths: np.ndarray, lo: int) -> None:
-        """The entries the per-choice sums gather, for choices whose entries
-        start at model entry ``firsts`` and number ``lengths``: those of the
-        entry columns, then those of the ``reduceat`` tail (see the class),
-        and the buffer their products go to with its column views."""
-        self.tail_cuts, self.back, heights = self.choice_cuts, None, []
-        if self.num_choices >= _COLUMN_CHOICES:
-            # a counting sort, longest first, and then the tail in kernel order
+    def _lay_out_sums(self, kept: np.ndarray, lo: int) -> np.ndarray | None:
+        """The entries the per-choice sums of the model choices ``kept``
+        gather, and two buffers (x and y) their products go to, with the
+        column views of each; returns the kernel order, each kernel
+        choice's index in ``kept`` (None: ``kept``'s own order)."""
+        model = self.model
+        firsts = model.choice_start[kept]
+        lengths = model.choice_start[kept + 1] - firsts
+        cuts = lengths.cumsum() - lengths
+        entries = _ranges(firsts, lengths, cuts)
+        targets = model.entry_target[entries]
+        order, heights, t = None, [], len(kept)
+        if t >= _COLUMN_CHOICES:
+            if self._zero is not None:
+                # products into sure-zero states are +0.0: drop them but for
+                # heads, in choices the columns sum
+                drop = self._zero[targets]
+                drop[cuts] = False
+                if lengths.max() > _COLUMN_ENTRIES:
+                    drop &= (lengths <= _COLUMN_ENTRIES).repeat(lengths)
+                rest = (~drop).nonzero()[0]
+                entries, targets = entries[rest], targets[rest]
+                head = np.zeros(len(drop) + 1, dtype=bool)
+                head[cuts] = head[-1] = True
+                bounds = head[np.append(rest, len(drop))].nonzero()[0]
+                cuts, lengths = bounds[:-1], bounds[1:] - bounds[:-1]
+            # a stable counting sort: the reduceat tail, then the columns
+            # longest first
             rank = np.minimum(lengths, _COLUMN_ENTRIES + 1)
-            counts = np.bincount(rank, minlength=_COLUMN_ENTRIES + 2)
-            ranks = [*range(_COLUMN_ENTRIES, 0, -1), _COLUMN_ENTRIES + 1]
-            order = np.concatenate([(rank == r).nonzero()[0] for r in ranks if counts[r]])
+            order = (_COLUMN_ENTRIES + 1 - rank).astype(np.uint8).argsort(kind="stable")
+            counts = np.bincount(rank, minlength=_COLUMN_ENTRIES + 2).tolist()
+            t = counts[-1]
             # c_j, the number of column choices with more than j entries
-            heights = [h for h in counts[_COLUMN_ENTRIES:0:-1].cumsum()[::-1].tolist() if h]
-        if heights:
-            tail = order[heights[0] :]
-            column_firsts = firsts[order[: heights[0]]]
-            entries = [column_firsts[:h] + j for j, h in enumerate(heights)]
-            entries.append(_ranges(firsts[tail], lengths[tail]))
-            entries = np.concatenate(entries)
-        else:
-            entries = _ranges(firsts, lengths, self.choice_cuts)
-        targets = self.position[self.model.entry_target[entries]]
-        self.sum_targets = targets - lo if lo else targets
-        self.sum_probs = self.model.entry_prob[entries]
-        self._products = np.empty(len(entries))
-        if not heights:
-            return
-        ends = np.cumsum(heights).tolist()
-        columns = [self._products[e - h : e] for h, e in zip(heights, ends)]
+            heights = [h for h in itertools.accumulate(counts[_COLUMN_ENTRIES:0:-1]) if h][::-1]
+            tail, columns = order[:t], order[t:]
+            picks = [cuts[columns[:h]] + j for j, h in enumerate(heights)]
+            picks.append(_ranges(cuts[tail], lengths[tail]))
+            picks = np.concatenate(picks)
+            entries, targets = entries[picks], targets[picks]
+            lengths = lengths[tail]
+        self.sum_targets = self.position[targets] - lo if lo else self.position[targets]
+        self.sum_probs = model.entry_prob[entries]
+        self.tail_cuts = lengths.cumsum() - lengths if t else None
+        ends = list(itertools.accumulate(heights, initial=t))
+        self._sums_x, self._sums_y = (self._views(t + len(entries), ends) for _ in "xy")
+        return order
+
+    @staticmethod
+    def _views(size: int, ends: list) -> tuple:
+        """Views of a new sums buffer of ``size``: the sums of the tail's
+        ``ends[0]`` choices, then the entry columns, which end at ``ends[1:]``,
+        then the tail's entries.  Returns the products, the column
+        additions, the tail's entries and sums, and all sums."""
+        buffer = np.empty(size)
+        columns = [buffer[a:b] for a, b in zip(ends, ends[1:])]
         # columns 2, 3, ... add into column 1, and then column 1 into column 0
-        self._adds = [(columns[1][: len(c)], c) for c in columns[2:]]
+        adds = [(columns[1][: len(c)], c) for c in columns[2:]]
         if len(columns) > 1:
-            self._adds.append((columns[0][: heights[1]], columns[1]))
-        self._head, self._tail = columns[0], self._products[ends[-1] :]
-        self.tail_cuts = lengths[tail].cumsum() - lengths[tail] if len(tail) else None
-        self.back = np.empty(self.num_choices, dtype=np.int64)
-        self.back[order] = np.arange(self.num_choices)
+            adds.append((columns[0][: len(columns[1])], columns[1]))
+        t = ends[0]
+        return buffer[t:], adds, buffer[ends[-1] :], buffer[:t], buffer[: ends[min(1, len(columns))]]
 
     def part(self, lo: int, hi: int) -> "_Kernels":
         """The kernels of the undecided states at positions ``lo:hi`` alone.
@@ -327,13 +376,11 @@ class _Kernels:
         ``order`` or start vectors); its choice indices count from its first
         choice.
         """
-        c0 = int(self.group_cuts[lo])
-        c1 = int(self.group_cuts[hi]) if hi < self.m else self.num_choices
         part = object.__new__(_Kernels)
         part.m, part.is_mc, part.maximize = hi - lo, self.is_mc, self.maximize
         part.model, part.position = self.model, self.position
-        part.rewards = None if self.rewards is None else self.rewards[c0:c1]
-        part._index(self.group_sizes[lo:hi], lo, self.kept[c0:c1])
+        part._reward, part._zero = self._reward, self._zero
+        part._index(self.model.row_group_start[self.live[lo:hi]], self.group_sizes[lo:hi], lo)
         return part
 
     # -- the public edges -----------------------------------------------------
@@ -351,36 +398,41 @@ class _Kernels:
     def scheduler(self, chosen: np.ndarray) -> np.ndarray:
         """Local choice per state in model order, 0 at decided states."""
         local = np.zeros(len(self.order), dtype=np.int64)
-        local[self.live] = chosen - self.group_cuts
+        in_state_order = chosen if self.state_order is None else self.state_order[chosen]
+        local[self.live] = in_state_order - self.group_cuts
         return local
 
     # -- per-choice expectations --------------------------------------------
 
     def choice_x(self, x: np.ndarray) -> np.ndarray:
-        vals = self.choice_y(x)
+        """Per kept choice: its reward, if any, plus the sum of ``x[target] *
+        prob`` over its entries, in a buffer the next call overwrites."""
+        vals = self._sums(x, self._sums_x)
         if self.rewards is not None:
             vals += self.rewards
         return vals
 
     def choice_y(self, y: np.ndarray) -> np.ndarray:
-        """Per kept choice: the sum of ``y[target] * prob`` over its entries."""
+        """Per kept choice: the sum of ``y[target] * prob`` over its entries,
+        in a buffer the next call overwrites (not ``choice_x``'s)."""
+        return self._sums(y, self._sums_y)
+
+    def _sums(self, v: np.ndarray, views: tuple) -> np.ndarray:
+        products, adds, tail, tail_sums, sums = views
         # the indices are valid: "clip" skips the default mode's buffering
-        products = y.take(self.sum_targets, out=self._products, mode="clip")
+        v.take(self.sum_targets, out=products, mode="clip")
         products *= self.sum_probs
-        if self.back is None:
-            return np.add.reduceat(products, self.tail_cuts)
-        for total, column in self._adds:
+        for total, column in adds:
             total += column
-        sums = self._head
         if self.tail_cuts is not None:
-            sums = np.concatenate((sums, np.add.reduceat(self._tail, self.tail_cuts)))
-        return sums.take(self.back)
+            np.add.reduceat(tail, self.tail_cuts, out=tail_sums)
+        return sums
 
     # -- per-state reductions -------------------------------------------------
 
     def state_opt(self, choice_vals: np.ndarray) -> np.ndarray:
         reduce = np.maximum if self.maximize else np.minimum
-        best = choice_vals[self.group_cuts]
+        best = choice_vals[self.first]
         for states, cols in self.columns:
             best[states] = reduce(best[states], choice_vals[cols])
         return best
@@ -388,27 +440,29 @@ class _Kernels:
     def _pick(self, key: np.ndarray, maximize: bool) -> np.ndarray:
         """Per state: the choice with the best complex ``key``, largest or
         smallest in numpy's lexicographic order (real parts first, exact
-        ties to the imaginary parts), remaining ties to the lowest index.
+        ties to the imaginary parts), remaining ties to the lowest local
+        choice.
 
         Starts at each state's first choice and takes a column's choice
         only where its key is strictly better.
         """
-        pick = self.group_cuts
-        for states, cols in self.columns:
+        pick = self.first
+        for j, (states, cols) in enumerate(self.columns):
             every = len(states) == self.m  # then no gather or scatter
-            held = pick if every else pick[states]
+            held = (pick if every else pick[states]) if j else self._held
             new, old = key[cols], key[held]
             better = new > old if maximize else new < old
-            # a column's choice follows every held one, so the larger index
-            # is the better one (np.where branches, and on random outcomes
-            # costs several times this)
-            held = np.maximum(held, better * cols)
+            # held ^ (held ^ cols) is cols, so the better ones move with no
+            # branch (np.where branches, and on random outcomes costs several
+            # times this); the first column's flips are set up once
+            moved = better * (held ^ cols if j else self._flip)
+            moved ^= held
             if every:
-                pick = held
+                pick = moved
             else:
-                if pick is self.group_cuts:
+                if pick is self.first:
                     pick = pick.copy()
-                pick[states] = held
+                pick[states] = moved
         return pick
 
     def select(self, cx: np.ndarray, cy: np.ndarray, bound: float) -> np.ndarray:
@@ -420,22 +474,24 @@ class _Kernels:
         no tied alternative pins the bound through its decision value.  At
         an infinite ``bound`` the y-expectation dominates: the largest one,
         ties to the best x-expectation in the query direction.  Remaining
-        ties go to the lowest choice index.  Both orders are one complex
+        ties go to the lowest local choice.  Both orders are one complex
         key per choice, the tie-break in its imaginary part (negated where
         it runs against the real part).
         """
-        key = np.empty(len(cy), np.complex128)
-        real, imag = key.real, key.imag
+        key, real, imag = self._key
         if math.isinf(bound):
-            real[:], imag[:] = cy, cx
-            if not self.maximize:
-                np.negative(imag, out=imag)
+            real[:] = cy
+            if self.maximize:
+                imag[:] = cx
+            else:
+                np.negative(cx, out=imag)
             return self._pick(key, True)
         np.multiply(cy, bound, out=real)
         real += cx
-        imag[:] = cy
         if self.maximize:
-            np.negative(imag, out=imag)
+            np.negative(cy, out=imag)
+        else:
+            imag[:] = cy
         return self._pick(key, self.maximize)
 
     # -- full iteration steps -------------------------------------------------
@@ -459,13 +515,11 @@ class _Kernels:
         """
         cx = self.choice_x(x)
         cy = self.choice_y(y)
-        if self.is_mc:
-            x[: self.m] = cx
-            y[: self.m] = cy
-            return self.group_cuts, decision
-        chosen = self.select(cx, cy, bound)
+        chosen = self.first if self.is_mc else self.select(cx, cy, bound)
         x_chosen = cx.take(chosen, out=x[: self.m], mode="clip")
         y_chosen = cy.take(chosen, out=y[: self.m], mode="clip")
+        if self.is_mc:
+            return chosen, decision
         return chosen, self._fold_decision(cx, cy, x_chosen, y_chosen, decision)
 
     def _fold_decision(
@@ -768,7 +822,8 @@ def _ii_start_vectors(kern: _Kernels, config: SolverConfig) -> list[np.ndarray]:
     if config.objective is Objective.REWARD and None in (lower, upper):
         side = "lower" if lower is None else "upper"
         raise MissingRewardBounds(f"interval iteration on rewards needs initial {side} bounds")
-    lower, upper = 0.0 if lower is None else lower, 1.0 if upper is None else upper
+    # + 0.0 turns a start bound of -0.0 into +0.0, which _Kernels needs
+    lower, upper = 0.0 if lower is None else lower + 0.0, 1.0 if upper is None else upper + 0.0
     if lower > upper:
         raise ConfigError(f"initial lower bound {lower!r} exceeds upper bound {upper!r}")
     starts = [kern.x_start.copy(), kern.x_start.copy()]

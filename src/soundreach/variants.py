@@ -39,11 +39,13 @@ def _blocks(starts: list, kern: _Kernels) -> list:
     """The ``(lo, hi)`` positions of the blocks, successors first.
 
     ``starts`` holds each component's first position, successors first.
-    A block takes consecutive components until it holds ``_BLOCK_ENTRIES``
-    kept entries or more; the last one takes whatever remains.
+    A block takes consecutive components until their states hold
+    ``_BLOCK_ENTRIES`` model entries or more; the last one takes whatever
+    remains.
     """
-    choice_entry = np.append(kern.choice_cuts, kern.num_entries)
-    entry_at = choice_entry[np.append(kern.group_cuts, kern.num_choices)].tolist()
+    entry_of = kern.model.choice_start[kern.model.row_group_start]
+    entries = entry_of[kern.live + 1] - entry_of[kern.live]
+    entry_at = np.append(0, entries.cumsum()).tolist()
     blocks, hi = [], kern.m
     for lo in starts:
         if entry_at[hi] - entry_at[lo] >= _BLOCK_ENTRIES:

@@ -47,14 +47,27 @@ def step(model, part, x, direction=MAX, objective=PROB):
     return out
 
 
+def by_state(kern):
+    """The kernel index of each choice in state order: each undecided
+    state's choices together, in local order, states in position order."""
+    if kern.state_order is None:
+        return np.arange(kern.num_choices)
+    return np.argsort(kern.state_order)
+
+
+def local_choices(kern, local):
+    """The kernel index of each undecided state's choice ``local[i]``."""
+    return by_state(kern)[kern.group_cuts + local]
+
+
 def stay_step(model, part, y, scheduler=None):
     """One step of the stay-undecided probability (``choice_y``), in model
     order: each undecided state on its local choice in ``scheduler`` (a
     chain's only one by default), 0 at every decided state."""
     kern = _Kernels(model, part, PROB, MAX)
-    chosen = kern.group_cuts
+    chosen = kern.first
     if scheduler is not None:
-        chosen = chosen + np.asarray(scheduler)[kern.live]
+        chosen = local_choices(kern, np.asarray(scheduler)[kern.live])
     out = np.zeros(model.num_states)
     out[kern.live] = kern.choice_y(kern.to_kernel(y))[chosen]
     return out
@@ -161,7 +174,7 @@ def decision(model, part, x, y, local, direction=MAX, objective=PROB):
     on its local choice in ``local``."""
     kern = _Kernels(model, part, objective, direction)
     cx, cy = kern.choice_x(kern.to_kernel(x)), kern.choice_y(kern.to_kernel(y))
-    chosen = kern.group_cuts + np.asarray(local)[kern.live]
+    chosen = local_choices(kern, np.asarray(local)[kern.live])
     with np.errstate(over="ignore"):
         return kern._fold_decision(cx, cy, cx[chosen], cy[chosen], neutral_decision(direction))
 
@@ -367,12 +380,14 @@ def test_find_action_and_decision_value_follow_the_loop():
 # ---------------------------------------------------------------------------
 
 # References: the per-state ``reduceat`` selection, state optimum and
-# decision-value fold the column loops replaced.  Picks, optima (signed
-# zeros included) and decision values must come out identical.
+# decision-value fold the column loops replaced, over the choices in state
+# order.  Picks, optima (signed zeros included) and decision values must
+# come out identical.
 
 
 def reference_argopt(kern, choice_vals, choice_y):
-    cuts, sizes = kern.group_cuts, kern.group_sizes
+    cuts, sizes, index = kern.group_cuts, kern.group_sizes, by_state(kern)
+    choice_vals, choice_y = choice_vals[index], choice_y[index]
     arange = np.arange(kern.num_choices)
     reduce = np.maximum if kern.maximize else np.minimum
     best = reduce.reduceat(choice_vals, cuts)
@@ -381,11 +396,12 @@ def reference_argopt(kern, choice_vals, choice_y):
         masked = np.where(tied, choice_y, np.inf)
         y_best = np.minimum.reduceat(masked, cuts)
         tied &= masked == np.repeat(y_best, sizes)
-    return np.minimum.reduceat(np.where(tied, arange, kern.num_choices), cuts)
+    return index[np.minimum.reduceat(np.where(tied, arange, kern.num_choices), cuts)]
 
 
 def reference_argopt_unbounded(kern, choice_x, choice_y):
-    cuts, sizes = kern.group_cuts, kern.group_sizes
+    cuts, sizes, index = kern.group_cuts, kern.group_sizes, by_state(kern)
+    choice_x, choice_y = choice_x[index], choice_y[index]
     arange = np.arange(kern.num_choices)
     y_best = np.maximum.reduceat(choice_y, cuts)
     y_tied = choice_y == np.repeat(y_best, sizes)
@@ -396,15 +412,18 @@ def reference_argopt_unbounded(kern, choice_x, choice_y):
         masked = np.where(y_tied, choice_x, np.inf)
         x_best = np.minimum.reduceat(masked, cuts)
     eligible = y_tied & (masked == np.repeat(x_best, sizes))
-    return np.minimum.reduceat(np.where(eligible, arange, kern.num_choices), cuts)
+    return index[np.minimum.reduceat(np.where(eligible, arange, kern.num_choices), cuts)]
 
 
 def reference_state_opt(kern, choice_vals):
     reduce = np.maximum if kern.maximize else np.minimum
-    return reduce.reduceat(choice_vals, kern.group_cuts)
+    return reduce.reduceat(choice_vals[by_state(kern)], kern.group_cuts)
 
 
 def reference_fold(kern, cx, cy, chosen, decision):
+    index = by_state(kern)
+    cx, cy = cx[index], cy[index]
+    chosen = chosen if kern.state_order is None else kern.state_order[chosen]
     chosen_rep = chosen[np.repeat(np.arange(kern.m), kern.group_sizes)]
     y_delta = cy[chosen_rep] - cy
     eligible = (np.arange(kern.num_choices) != chosen_rep) & (y_delta > 0.0)
@@ -466,7 +485,7 @@ def assert_kernels_match_references(kern, rng):
             else:
                 expected = reference_argopt(kern, cx + bound * cy, cy)
             np.testing.assert_array_equal(chosen, expected)
-            picks = (kern.group_cuts, chosen, kern.group_cuts + kern.group_sizes - 1)
+            picks = (kern.first, chosen, local_choices(kern, kern.group_sizes - 1))
             for picked in picks:
                 for decision in (neutral, 0.25):
                     folded = kern._fold_decision(cx, cy, cx[picked], cy[picked], decision)
@@ -528,8 +547,11 @@ def test_keyed_order_permutes_the_ascending_kernels():
                 keyed = _Kernels(absorbed, part, objective, direction, key)
                 np.testing.assert_array_equal(keyed.live, np.argsort(key)[: keyed.m])
                 states = plain.position[keyed.live]  # keyed position -> plain position
-                choices = np.repeat(plain.group_cuts[states] - keyed.group_cuts, keyed.group_sizes)
-                choices += np.arange(keyed.num_choices)  # keyed choice -> plain choice
+                shift = np.repeat(plain.group_cuts[states] - keyed.group_cuts, keyed.group_sizes)
+                # keyed choice -> plain choice, both in state order and then
+                # in kernel order
+                choices = np.empty(keyed.num_choices, dtype=np.int64)
+                choices[by_state(keyed)] = by_state(plain)[shift + np.arange(keyed.num_choices)]
                 x, y = rng.random(n), rng.random(n) * part.maybe
                 xp, yp = plain.to_kernel(x), plain.to_kernel(y)
                 xk, yk = keyed.to_kernel(x), keyed.to_kernel(y)
@@ -553,17 +575,32 @@ def test_keyed_order_permutes_the_ascending_kernels():
 
 # Above ``_COLUMN_CHOICES`` kept choices a kernel sums choices of up to
 # ``_COLUMN_ENTRIES`` entries in entry columns and longer ones in a
-# ``reduceat`` tail.  Either way every sum must equal the one gather and
-# ``np.add.reduceat`` over the kernel's entries, signed zeros included.
+# ``reduceat`` tail, and a probability query's kernel leaves out the +0.0
+# products of its column choices' entries into sure-zero states, but for
+# heads.  Either way every sum must equal the one gather and
+# ``np.add.reduceat`` over all the entries of its choice, signed zeros
+# included, wherever the vectors hold the kernel's fixed values at decided
+# positions and, in a probability query, no -0.0 (the ``_Kernels``
+# contract).
 
 
 def reference_sums(kern, v, lo=0):
-    """Per kept choice of ``kern`` (a part of ``lo``): the sum of
-    ``v[target] * prob``, as one gather and ``np.add.reduceat``."""
-    starts, model = kern.model.choice_start, kern.model
-    entries = np.concatenate([np.arange(starts[c], starts[c + 1]) for c in kern.kept.tolist()])
+    """Per kept choice of ``kern`` (a part of ``lo``), in kernel order: the
+    sum of ``v[target] * prob`` over all its entries, as one gather and
+    ``np.add.reduceat``."""
+    entries, lengths = choice_entries(kern)
+    model = kern.model
     targets = kern.position[model.entry_target[entries]] - lo
-    return np.add.reduceat(v[targets] * model.entry_prob[entries], kern.choice_cuts)
+    return np.add.reduceat(v[targets] * model.entry_prob[entries], lengths.cumsum() - lengths)
+
+
+def choice_entries(kern):
+    """The model entries of the kept choices in kernel order, and the
+    number of each choice's entries."""
+    starts = kern.model.choice_start
+    lengths = starts[kern.kept + 1] - starts[kern.kept]
+    entries = [np.arange(starts[c], starts[c + 1]) for c in kern.kept.tolist()]
+    return np.concatenate(entries), lengths
 
 
 def long_choice_mdp(rng, n=400, forward=False):
@@ -596,6 +633,17 @@ def signed_vectors(rng, n):
     return x, y
 
 
+def kernel_vectors(rng, kern):
+    """``signed_vectors`` as ``kern`` may be stepped on: its fixed values at
+    the decided positions and, in a probability query, +0.0 for -0.0."""
+    x, y = signed_vectors(rng, len(kern.order))
+    x[kern.m :], y[kern.m :] = kern.x_start[kern.m :], kern.y_start[kern.m :]
+    if kern.rewards is None:
+        x += 0.0
+        y += 0.0
+    return x, y
+
+
 def test_entry_columns_sum_as_reduceat_on_both_sides_of_the_tail():
     rng = np.random.default_rng(2121)
     model, partition = long_choice_mdp(rng)
@@ -603,13 +651,14 @@ def test_entry_columns_sum_as_reduceat_on_both_sides_of_the_tail():
         for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
             kern = _Kernels(model, partition, objective, direction)
             assert kern.num_choices >= solvers._COLUMN_CHOICES
-            lengths = np.diff(kern.choice_cuts, append=kern.num_entries)
+            _, lengths = choice_entries(kern)
             assert set(lengths.tolist()) == set(range(1, 13))
             # 8 columns (7 column additions), the reduceat tail from 9 entries on
-            assert kern.back is not None and len(kern._adds) == solvers._COLUMN_ENTRIES - 1
+            adds = kern._sums_x[1]
+            assert kern.state_order is not None and len(adds) == solvers._COLUMN_ENTRIES - 1
             assert len(kern.tail_cuts) == np.count_nonzero(lengths > solvers._COLUMN_ENTRIES)
             for _ in range(5):
-                x, y = signed_vectors(rng, model.num_states)
+                x, y = kernel_vectors(rng, kern)
                 expected_x = reference_sums(kern, x)
                 if kern.rewards is not None:
                     expected_x = expected_x + kern.rewards
@@ -617,13 +666,62 @@ def test_entry_columns_sum_as_reduceat_on_both_sides_of_the_tail():
                 assert_same_floats(kern.choice_y(y), reference_sums(kern, y))
 
 
-def assert_steps_match_references(kern, rng, lo=0):
-    """``coupled_step`` and ``bellman`` of ``kern`` (a part of ``lo``)
-    against the reduceat-form sums, selection, optimum and fold."""
-    n = len(kern.position)
+def trim_mdp(rng, n):
+    """``n`` undecided states ``2 .. n + 1`` of one or two choices with 1 to
+    12 targets, between the sure-zero sinks 0 and ``n + 2`` and the goal 1.
+    Each choice leads into each sink with chance 1/2, into sink 0 always
+    by its head entry (targets are in ascending order)."""
+    sinks = (0, n + 2)
+    choices = [[{0: 1.0}], [{1: 1.0}]]
+    for s in range(n):
+        group = []
+        for i in range(1 + s % 2):
+            k = 1 + (s + i) % 12
+            targets = set(rng.choice(n + 1, size=k, replace=False) + 1)
+            targets |= {t for t in sinks if rng.random() < 0.5}
+            weights = rng.random(len(targets)) + 0.05
+            group.append({int(t): w / weights.sum() for t, w in zip(sorted(targets), weights)})
+        choices.append(group)
+    choices.append([{n + 2: 1.0}])
+    model = sr.validate_model(choices, labels={"init": [2], "goal": [1]})
+    s0 = np.isin(np.arange(n + 3), sinks)
+    goal = np.arange(n + 3) == 1
+    return model, sr.Partition(s0=s0, goal=goal, maybe=~s0 & ~goal)
+
+
+def test_trimmed_sums_match_the_untrimmed_reference():
+    rng = np.random.default_rng(2424)
+    for n in (30, 300):  # below and above _COLUMN_CHOICES kept choices
+        model, partition = trim_mdp(rng, n)
+        for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
+            kern = _Kernels(model, partition, sr.Objective.PROBABILITY, direction)
+            large = kern.num_choices >= solvers._COLUMN_CHOICES
+            assert large == (n == 300)
+            entries, lengths = choice_entries(kern)
+            head = np.zeros(len(entries), dtype=bool)
+            head[lengths.cumsum() - lengths] = True
+            short = np.repeat(lengths <= solvers._COLUMN_ENTRIES, lengths)
+            into_zero = partition.s0[model.entry_target[entries]]
+            # sure-zero heads and sure-zero entries of longer choices occur,
+            # and stay; the large kernel leaves out every other one
+            assert (into_zero & head).any() and (into_zero & ~short).any()
+            left_out = np.count_nonzero(into_zero & ~head & short) if large else 0
+            assert left_out > 100 or not large
+            assert len(kern.sum_targets) == len(entries) - left_out
+            for _ in range(5):
+                x, y = kernel_vectors(rng, kern)
+                assert_same_floats(kern.choice_x(x), reference_sums(kern, x))
+                assert_same_floats(kern.choice_y(y), reference_sums(kern, y))
+                x, y = kern.x_start.copy(), kern.y_start.copy()
+                assert_same_floats(kern.choice_x(x), reference_sums(kern, x))
+                assert_same_floats(kern.choice_y(y), reference_sums(kern, y))
+
+
+def assert_steps_match_references(kern, x, y, lo=0):
+    """``coupled_step`` and ``bellman`` of ``kern`` (a part of ``lo``) on
+    ``x`` and ``y`` against the reduceat-form sums, selection, optimum and
+    fold."""
     neutral = -INF if kern.maximize else INF
-    x, y = signed_vectors(rng, n)
-    y = np.abs(y)
     cx = reference_sums(kern, x[lo:], lo)
     if kern.rewards is not None:
         cx = cx + kern.rewards
@@ -638,7 +736,7 @@ def assert_steps_match_references(kern, rng, lo=0):
         else:
             expected = reference_argopt(kern, cx + bound * cy, cy)
         if kern.is_mc:
-            expected = kern.group_cuts
+            expected = kern.first
         np.testing.assert_array_equal(chosen, expected)
         if not kern.is_mc:
             assert decision == reference_fold(kern, cx, cy, expected, neutral)
@@ -653,8 +751,9 @@ def test_entry_column_steps_match_reduceat_references():
     for objective in (sr.Objective.PROBABILITY, sr.Objective.REWARD):
         for direction in (sr.Direction.MAXIMIZE, sr.Direction.MINIMIZE):
             kern = _Kernels(model, partition, objective, direction)
-            assert kern.back is not None
-            assert_steps_match_references(kern, rng)
+            assert kern.state_order is not None
+            x, y = kernel_vectors(rng, kern)
+            assert_steps_match_references(kern, x, np.abs(y))
             assert_kernels_match_references(kern, rng)
 
 
@@ -671,14 +770,15 @@ def test_entry_columns_in_topological_blocks(monkeypatch):
         starts = np.flatnonzero(np.diff(key[kern.live], prepend=-1))[::-1].tolist()
         blocks = variants._blocks(starts, kern)
         parts = [kern.part(lo, hi) for lo, hi in blocks]
-        columned = [part for part in parts if part.back is not None]
+        columned = [part for part in parts if part.state_order is not None]
         assert len(blocks) > 1 and columned and any(p.tail_cuts is not None for p in columned)
         for (lo, hi), part in zip(blocks, parts):
             x, y = signed_vectors(rng, model.num_states)
             expected_x = reference_sums(part, x[lo:], lo) + part.rewards
             assert_same_floats(part.choice_x(x[lo:]), expected_x)
             assert_same_floats(part.choice_y(y[lo:]), reference_sums(part, y[lo:], lo))
-            assert_steps_match_references(part, rng, lo)
+            x, y = signed_vectors(rng, model.num_states)
+            assert_steps_match_references(part, x, np.abs(y), lo)
 
 
 def test_entry_columns_on_every_small_kernel(monkeypatch):
@@ -693,8 +793,8 @@ def test_entry_columns_on_every_small_kernel(monkeypatch):
             absorbed, part = prepared(model, sr.Direction.MAXIMIZE, objective)
             kern = _Kernels(absorbed, part, objective, sr.Direction.MAXIMIZE)
             if kern.m:
-                assert kern.back is not None
-            x, y = signed_vectors(values, model.num_states)
+                assert kern.state_order is not None
+            x, y = kernel_vectors(values, kern)
             expected_x = reference_sums(kern, x) if kern.m else np.zeros(0)
             if kern.rewards is not None:
                 expected_x = expected_x + kern.rewards
