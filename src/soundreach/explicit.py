@@ -154,6 +154,7 @@ class _Transitions(NamedTuple):
     sizes: np.ndarray  # choices per state
     row_group_start: np.ndarray
     choice: np.ndarray  # choice of each entry, numbered in row-group order
+    lengths: np.ndarray  # entries per choice
     target: np.ndarray
     prob: np.ndarray
     actions: list | None  # action name per choice, when a line names one
@@ -200,8 +201,9 @@ def _read_tra(text: str) -> _Transitions:
             f"header declares {num_states} states, but the file has only {n} transition lines"
         )
     if not mdp:
-        first = np.arange(num_states + 1)
-        return _Transitions("mc", np.ones(num_states, np.int64), first, src, dst, prob, None)
+        sizes, first = np.ones(num_states, np.int64), np.arange(num_states + 1)
+        lengths = np.bincount(src, minlength=num_states)
+        return _Transitions("mc", sizes, first, src, lengths, dst, prob, None)
 
     # Number each state's choices up to its largest index.  The indices are
     # 0..k-1 when every number is used; every choice needs a line, so more
@@ -212,11 +214,8 @@ def _read_tra(text: str) -> _Transitions:
     row_group_start = np.concatenate(([0], sizes.cumsum()))
     total = int(row_group_start[-1])
     choice = row_group_start[src] + local
-    if not (
-        top[1] < n
-        and total <= n
-        and np.count_nonzero(np.bincount(choice, minlength=total)) == total
-    ):
+    lengths = np.bincount(choice, minlength=total) if top[1] < n and total <= n else None
+    if lengths is None or np.count_nonzero(lengths) < total:
         previous = (-1, -1)
         for s, c in sorted(set(zip(src.tolist(), local.tolist()))):
             if c != (previous[1] + 1 if s == previous[0] else 0):
@@ -232,7 +231,7 @@ def _read_tra(text: str) -> _Transitions:
             if actions[choice[i]] not in (None, rows[i][4]):
                 raise ParseError(f"choice {local[i]} of state {src[i]} carries two action names")
             actions[choice[i]] = rows[i][4]
-    return _Transitions("mdp", sizes, row_group_start, choice, dst, prob, actions)
+    return _Transitions("mdp", sizes, row_group_start, choice, lengths, dst, prob, actions)
 
 
 _LABEL_DECL = re.compile(r'(\d+)="([^"]*)"')
@@ -338,6 +337,7 @@ def load_model(
 
     model = _build_model(
         tra.sizes,
+        tra.lengths,
         tra.choice,
         tra.target,
         tra.prob,
@@ -345,6 +345,7 @@ def load_model(
         initial_state=int(init_states[0]),
         labels=labels,
         choice_labels=tra.actions,
+        targets_checked=True,
     )
     return ModelBundle(model=model, kind=tra.kind)
 

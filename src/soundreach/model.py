@@ -269,8 +269,10 @@ def validate_model(
         initial_state = operator.index(initial_state)
     except TypeError:
         raise DanglingTarget(f"initial state {initial_state!r} is not a state") from None
+    lengths = np.array(lengths, dtype=np.int64)
     return _build_model(
         np.array(sizes, dtype=np.int64),
+        lengths,
         np.arange(len(lengths)).repeat(lengths),
         _converted(targets, operator.index, np.int64, "target", sizes, lengths),
         _converted(probs, float, np.float64, "probability", sizes, lengths),
@@ -354,6 +356,7 @@ def _merged(
 
 def _build_model(
     sizes: np.ndarray,
+    lengths: np.ndarray,
     entry_choice: np.ndarray,
     entry_target: np.ndarray,
     entry_prob: np.ndarray,
@@ -362,15 +365,18 @@ def _build_model(
     initial_state: int,
     labels: Mapping | None = None,
     choice_labels: Sequence | None = None,
+    targets_checked: bool = False,
 ) -> SparseModel:
     """Check flat transition data and build a :class:`SparseModel` from it.
 
-    ``sizes[s]`` counts the choices of state ``s``; choices are numbered in
-    row-group order, and entry ``e``, in input order, leads choice
-    ``entry_choice[e]`` to ``entry_target[e]`` with ``entry_prob[e]``.
-    Checks, in order: a state and the initial state exist, every state has a
-    choice (:class:`EmptyRowGroup`), targets exist (:class:`DanglingTarget`),
-    every raw probability is in ``(0, 1]`` (:class:`NegativeProbability`),
+    ``sizes[s]`` counts the choices of state ``s`` and ``lengths[c]`` the
+    entries of choice ``c``; choices are numbered in row-group order, and
+    entry ``e``, in input order, leads choice ``entry_choice[e]`` to
+    ``entry_target[e]`` with ``entry_prob[e]``.  Checks, in order: a state
+    and the initial state exist, every state has a choice
+    (:class:`EmptyRowGroup`), targets exist (:class:`DanglingTarget`; left
+    to a caller that says it has checked them, as ``_read_tra`` has), every
+    raw probability is in ``(0, 1]`` (:class:`NegativeProbability`),
     every choice has an entry (:class:`EmptyRowGroup`), each merged row sums
     to 1 within ``ROW_SUM_TOLERANCE`` (:class:`RowSumError`), rewards are
     finite (:class:`ModelError`) and labels name existing states; each check
@@ -392,7 +398,9 @@ def _build_model(
         s = int(np.searchsorted(row_group_start, choice, side="right")) - 1
         return f"state {s} choice {int(choice) - int(row_group_start[s])}"
 
-    if entry_target.min(initial=0) < 0 or entry_target.max(initial=0) >= num_states:
+    if not targets_checked and (
+        entry_target.min(initial=0) < 0 or entry_target.max(initial=0) >= num_states
+    ):
         e = int(np.argmax((entry_target < 0) | (entry_target >= num_states)))
         raise DanglingTarget(f"{where(entry_choice[e])}: target {entry_target[e]} out of range")
     top = 1.0 + ROW_SUM_TOLERANCE
@@ -402,7 +410,6 @@ def _build_model(
         raise NegativeProbability(
             f"{where(entry_choice[e])}: probability {float(entry_prob[e])!r} outside (0, 1]"
         )
-    lengths = np.bincount(entry_choice, minlength=num_choices)
     if np.count_nonzero(lengths) < num_choices:
         raise EmptyRowGroup(f"{where(np.argmin(lengths))} has no transition")
 

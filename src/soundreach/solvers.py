@@ -364,8 +364,8 @@ class _Kernels:
         adds = [(columns[1][: len(c)], c) for c in columns[2:]]
         if len(columns) > 1:
             adds.append((columns[0][: len(columns[1])], columns[1]))
-        t = ends[0]
-        return buffer[t:], adds, buffer[ends[-1] :], buffer[:t], buffer[: ends[min(1, len(columns))]]
+        t, head = ends[0], ends[min(1, len(columns))]
+        return buffer[t:], adds, buffer[ends[-1] :], buffer[:t], buffer[:head]
 
     def part(self, lo: int, hi: int) -> "_Kernels":
         """The kernels of the undecided states at positions ``lo:hi`` alone.
