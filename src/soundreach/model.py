@@ -374,12 +374,12 @@ def _build_model(
     entry ``e``, in input order, leads choice ``entry_choice[e]`` to
     ``entry_target[e]`` with ``entry_prob[e]``.  Checks, in order: a state
     and the initial state exist, every state has a choice
-    (:class:`EmptyRowGroup`), targets exist (:class:`DanglingTarget`; left
-    to a caller that says it has checked them, as ``_read_tra`` has), every
-    raw probability is in ``(0, 1]`` (:class:`NegativeProbability`),
-    every choice has an entry (:class:`EmptyRowGroup`), each merged row sums
-    to 1 within ``ROW_SUM_TOLERANCE`` (:class:`RowSumError`), rewards are
-    finite (:class:`ModelError`) and labels name existing states; each check
+    (:class:`EmptyRowGroup`), targets exist (:class:`DanglingTarget`, unless
+    ``targets_checked``, as ``_read_tra`` has), every raw probability is in
+    ``(0, 1]`` (:class:`NegativeProbability`), every choice has an entry
+    (:class:`EmptyRowGroup`), each merged row sums to 1 within
+    ``ROW_SUM_TOLERANCE`` (:class:`RowSumError`), rewards are finite
+    (:class:`ModelError`) and labels name existing states; each check
     reports its first offender.  Duplicate targets are summed in entry
     order; each row is summed in the order its targets first appear and
     divided by that sum.  This is the one place where rows are renormalized.

@@ -19,7 +19,6 @@ wires graph preprocessing and an engine together for one query.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -199,38 +198,33 @@ class _Kernels:
     no step writes them.
 
     Choices are in one *kernel order*, the order in which the per-choice
-    sums (``choice_x``/``choice_y``) come out: ``kept`` is the model choice
-    of each, and every choice index (``first``, ``columns``,
-    ``choice_state``, ``rewards``, the picks of ``select``) counts in it.
-    *State order* lists each undecided state's choices together, states
-    in position order (``group_cuts``, ``group_sizes``); ``state_order``
-    maps each kernel choice to its index there, None where the two agree.
-    A kernel of fewer than ``_COLUMN_CHOICES`` kept choices, whose set-up
-    the columns below would not repay, sums in state order with one gather
-    and ``np.add.reduceat``.  A larger one sums over *entry columns*: its
-    choices of more than ``_COLUMN_ENTRIES`` entries come first and go to
-    a ``reduceat`` tail, and the others follow sorted by entry count,
-    longest first, so that column ``j`` holds the ``j``-th entry of the
-    first ``c_j`` of them.  A sum gathers all products into one buffer,
-    adds columns ``2, 3, ...`` into column 1 and then column 1 into column
-    0, where the sums lie in kernel order after the tail's.  Each choice's
-    sum is ``p0 + ((p1 + p2) + ...)``, the additions of ``np.add.reduceat``
-    in its order, so the sums are the same bit for bit.  On a 20,000-state
-    random MDP (40,000 choices of 3 entries) the columns sum x or y in
-    about 0.2 ms against 0.6 ms for one gather and ``reduceat``.
+    sums (``choice_x``/``choice_y``) come out, and every choice index
+    counts in it (``kept``, ``first``, ``columns``, ``choice_state``,
+    ``rewards``, the picks of ``select``).  ``state_order`` maps each to
+    its index in *state order* (``group_cuts``, ``group_sizes``), each
+    undecided state's choices together, and is None where the two agree: a
+    kernel of fewer than ``_COLUMN_CHOICES`` kept choices, whose set-up the
+    columns would not repay, sums in state order with one ``reduceat``.
+    A larger one puts its choices of more than ``_COLUMN_ENTRIES`` entries
+    first, in a ``reduceat`` tail, and sums the others over *entry
+    columns*, sorted by entry count, longest first, so that column ``j``
+    holds the ``j``-th entry of the first ``c_j`` of them.  A sum gathers
+    all products into one buffer and adds columns ``2, 3, ...`` into column
+    1 and then column 1 into column 0, after the tail's sums: ``p0 + ((p1 +
+    p2) + ...)``, the additions of ``reduceat`` in its order, so the sums
+    are the same bit for bit.  On a 20,000-state random MDP (40,000
+    choices of 3 entries) the columns sum x or y in about 0.2 ms against
+    0.6 ms for one gather and ``reduceat``.
 
-    A large kernel of a probability query also drops from its column
-    choices every entry but the head that leads into a sure-zero state
-    (``partition.s0``), a quarter of the leaky walk's entries.  Its product
-    is +0.0, which leaves every partial sum it would join as it is unless
-    that sum is -0.0.  A sum is -0.0 only where its products are, so only
-    from a -0.0 value or a negative product that underflows, and a
-    probability vector holds values of +0.0 or more, but for interval
-    iteration's from a negative start bound (``_ii_start_vectors`` turns a
-    start bound of -0.0 into +0.0).  The head stays, because the next
-    entry would start the sum in its place and re-associate the rest, and
-    longer choices stay whole, because the pairwise blocks in which
-    ``reduceat`` adds them depend on their length.
+    A large kernel of a probability query also leaves out every entry of
+    its column choices but the head that leads into a sure-zero state (a
+    quarter of the leaky walk's).  Its product, +0.0, leaves a partial sum
+    as it is unless that sum is -0.0, which takes -0.0 products, from a
+    -0.0 value or a negative one that underflows: probability vectors hold
+    +0.0 or more, but for interval iteration's below a negative start bound
+    (``_ii_start_vectors`` turns -0.0 into +0.0).  Heads stay, as the next
+    entry would start the sum and re-associate the rest, and so do longer
+    choices, which ``reduceat`` adds in pairwise blocks.
 
     Choice selection (``select``) and the decision-value fold
     (``_fold_decision``) exist only here.  Selection and ``state_opt`` go
@@ -242,10 +236,9 @@ class _Kernels:
     20,000-state model makes a coupled step about 5 times slower, 4.0
     against 0.8 ms).  Selection compares one complex key per choice, its
     tie-break in the imaginary part, so a column takes one comparison;
-    remaining ties go to the lowest local choice, whatever the kernel
-    order.
-    The set-up, a fixed cost of every query, and the step's small
-    reductions use the numpy calls with the least overhead per call.
+    remaining ties go to the lowest local choice.  The set-up, a fixed cost
+    of every query, and the step's small reductions use the numpy calls
+    with the least overhead per call.
     """
 
     def __init__(
@@ -277,26 +270,24 @@ class _Kernels:
         self.maximize = direction is Direction.MAXIMIZE
 
     def _index(self, first: np.ndarray, sizes: np.ndarray, lo: int) -> None:
-        """Index the choices of the states whose ``sizes`` choices start at
-        model choice ``first``, targets shifted by ``-lo``: the sums' layout,
-        which fixes the kernel order, and the index arrays in that order."""
+        """Index the ``sizes`` choices of each state from model choice ``first``
+        on, targets shifted by ``-lo``: the sums' layout, then kernel order."""
         self.group_sizes = sizes
         self.group_cuts = sizes.cumsum() - sizes
         kept = _ranges(first, sizes, self.group_cuts)
-        self.num_choices = len(kept)
-        owner = np.arange(len(sizes)).repeat(sizes)
+        self.num_choices, owner = len(kept), np.arange(len(sizes)).repeat(sizes)
         self.state_order = order = self._lay_out_sums(kept, lo)
-        firsts, self.columns, j = self.group_cuts, [], 1
-        states = (sizes > 1).nonzero()[0]
+        self.columns, j, states = [], 1, (sizes > 1).nonzero()[0]
+        while states.size:
+            self.columns.append((states, self.group_cuts[states] + j))
+            j += 1
+            states = states[sizes[states] > j]
+        firsts = self.group_cuts
         if order is not None:
             rank = np.empty_like(order)
             rank[order] = np.arange(len(order))
             kept, owner, firsts = kept[order], owner[order], rank[firsts]
-        while states.size:
-            cols = self.group_cuts[states] + j
-            self.columns.append((states, cols if order is None else rank[cols]))
-            j += 1
-            states = states[sizes[states] > j]
+            self.columns = [(states, rank[cols]) for states, cols in self.columns]
         self.kept, self.choice_state, self.first = kept, owner, firsts
         if self.columns:
             self._held = firsts[self.columns[0][0]]
@@ -306,10 +297,8 @@ class _Kernels:
         self._key = key, key.real, key.imag
 
     def _lay_out_sums(self, kept: np.ndarray, lo: int) -> np.ndarray | None:
-        """The entries the per-choice sums of the model choices ``kept``
-        gather, and two buffers (x and y) their products go to, with the
-        column views of each; returns the kernel order, each kernel
-        choice's index in ``kept`` (None: ``kept``'s own order)."""
+        """Lay out the sums of the model choices ``kept``: their entries and an
+        x and a y buffer; returns ``state_order``, indices into ``kept``."""
         model = self.model
         firsts = model.choice_start[kept]
         lengths = model.choice_start[kept + 1] - firsts
@@ -319,26 +308,22 @@ class _Kernels:
         order, heights, t = None, [], len(kept)
         if t >= _COLUMN_CHOICES:
             if self._zero is not None:
-                # products into sure-zero states are +0.0: drop them but for
-                # heads, in choices the columns sum
+                # +0.0 products: into sure-zero states but for heads (see the class)
                 drop = self._zero[targets]
                 drop[cuts] = False
                 if lengths.max() > _COLUMN_ENTRIES:
                     drop &= (lengths <= _COLUMN_ENTRIES).repeat(lengths)
+                lengths = lengths - np.add.reduceat(drop, cuts)
+                cuts = lengths.cumsum() - lengths
                 rest = (~drop).nonzero()[0]
                 entries, targets = entries[rest], targets[rest]
-                head = np.zeros(len(drop) + 1, dtype=bool)
-                head[cuts] = head[-1] = True
-                bounds = head[np.append(rest, len(drop))].nonzero()[0]
-                cuts, lengths = bounds[:-1], bounds[1:] - bounds[:-1]
-            # a stable counting sort: the reduceat tail, then the columns
-            # longest first
+            # a stable counting sort: the tail, then the columns longest first
             rank = np.minimum(lengths, _COLUMN_ENTRIES + 1)
             order = (_COLUMN_ENTRIES + 1 - rank).astype(np.uint8).argsort(kind="stable")
             counts = np.bincount(rank, minlength=_COLUMN_ENTRIES + 2).tolist()
             t = counts[-1]
             # c_j, the number of column choices with more than j entries
-            heights = [h for h in itertools.accumulate(counts[_COLUMN_ENTRIES:0:-1]) if h][::-1]
+            heights = [h for h in np.cumsum(counts[_COLUMN_ENTRIES:0:-1])[::-1].tolist() if h]
             tail, columns = order[:t], order[t:]
             picks = [cuts[columns[:h]] + j for j, h in enumerate(heights)]
             picks.append(_ranges(cuts[tail], lengths[tail]))
@@ -348,16 +333,14 @@ class _Kernels:
         self.sum_targets = self.position[targets] - lo if lo else self.position[targets]
         self.sum_probs = model.entry_prob[entries]
         self.tail_cuts = lengths.cumsum() - lengths if t else None
-        ends = list(itertools.accumulate(heights, initial=t))
+        ends = np.cumsum([t, *heights]).tolist()
         self._sums_x, self._sums_y = (self._views(t + len(entries), ends) for _ in "xy")
         return order
 
     @staticmethod
     def _views(size: int, ends: list) -> tuple:
-        """Views of a new sums buffer of ``size``: the sums of the tail's
-        ``ends[0]`` choices, then the entry columns, which end at ``ends[1:]``,
-        then the tail's entries.  Returns the products, the column
-        additions, the tail's entries and sums, and all sums."""
+        """A new sums buffer's products, column additions, tail entries, tail
+        sums and sums, for columns ending at ``ends[1:]`` (see the class)."""
         buffer = np.empty(size)
         columns = [buffer[a:b] for a, b in zip(ends, ends[1:])]
         # columns 2, 3, ... add into column 1, and then column 1 into column 0
@@ -405,16 +388,14 @@ class _Kernels:
     # -- per-choice expectations --------------------------------------------
 
     def choice_x(self, x: np.ndarray) -> np.ndarray:
-        """Per kept choice: its reward, if any, plus the sum of ``x[target] *
-        prob`` over its entries, in a buffer the next call overwrites."""
         vals = self._sums(x, self._sums_x)
         if self.rewards is not None:
             vals += self.rewards
         return vals
 
     def choice_y(self, y: np.ndarray) -> np.ndarray:
-        """Per kept choice: the sum of ``y[target] * prob`` over its entries,
-        in a buffer the next call overwrites (not ``choice_x``'s)."""
+        """Per kept choice: the sum of ``y[target] * prob`` over its entries
+        (``choice_x`` adds the rewards), in a buffer the next call overwrites."""
         return self._sums(y, self._sums_y)
 
     def _sums(self, v: np.ndarray, views: tuple) -> np.ndarray:
@@ -452,9 +433,8 @@ class _Kernels:
             held = (pick if every else pick[states]) if j else self._held
             new, old = key[cols], key[held]
             better = new > old if maximize else new < old
-            # held ^ (held ^ cols) is cols, so the better ones move with no
-            # branch (np.where branches, and on random outcomes costs several
-            # times this); the first column's flips are set up once
+            # held ^ (held ^ cols) is cols: no branch (np.where's costs several
+            # times this on random outcomes); column 1's flips are set up once
             moved = better * (held ^ cols if j else self._flip)
             moved ^= held
             if every:
@@ -481,17 +461,11 @@ class _Kernels:
         key, real, imag = self._key
         if math.isinf(bound):
             real[:] = cy
-            if self.maximize:
-                imag[:] = cx
-            else:
-                np.negative(cx, out=imag)
+            np.multiply(cx, 1.0 if self.maximize else -1.0, out=imag)
             return self._pick(key, True)
         np.multiply(cy, bound, out=real)
         real += cx
-        if self.maximize:
-            np.negative(cy, out=imag)
-        else:
-            imag[:] = cy
+        np.multiply(cy, -1.0 if self.maximize else 1.0, out=imag)
         return self._pick(key, self.maximize)
 
     # -- full iteration steps -------------------------------------------------

@@ -39,9 +39,8 @@ def _blocks(starts: list, kern: _Kernels) -> list:
     """The ``(lo, hi)`` positions of the blocks, successors first.
 
     ``starts`` holds each component's first position, successors first.
-    A block takes consecutive components until their states hold
-    ``_BLOCK_ENTRIES`` model entries or more; the last one takes whatever
-    remains.
+    A block takes consecutive components until they hold ``_BLOCK_ENTRIES``
+    model entries or more; the last one takes whatever remains.
     """
     entry_of = kern.model.choice_start[kern.model.row_group_start]
     entries = entry_of[kern.live + 1] - entry_of[kern.live]
