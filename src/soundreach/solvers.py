@@ -19,6 +19,7 @@ wires graph preprocessing and an engine together for one query.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -323,32 +324,33 @@ class _Kernels:
             counts = np.bincount(rank, minlength=_COLUMN_ENTRIES + 2).tolist()
             t = counts[-1]
             # c_j, the number of column choices with more than j entries
-            heights = [h for h in np.cumsum(counts[_COLUMN_ENTRIES:0:-1])[::-1].tolist() if h]
+            heights = [h for h in itertools.accumulate(counts[_COLUMN_ENTRIES:0:-1]) if h][::-1]
             tail, columns = order[:t], order[t:]
             picks = [cuts[columns[:h]] + j for j, h in enumerate(heights)]
             picks.append(_ranges(cuts[tail], lengths[tail]))
             picks = np.concatenate(picks)
             entries, targets = entries[picks], targets[picks]
-            lengths = lengths[tail]
+            cuts = lengths[tail].cumsum() - lengths[tail]
         self.sum_targets = self.position[targets] - lo if lo else self.position[targets]
         self.sum_probs = model.entry_prob[entries]
-        self.tail_cuts = lengths.cumsum() - lengths if t else None
-        ends = np.cumsum([t, *heights]).tolist()
-        self._sums_x, self._sums_y = (self._views(t + len(entries), ends) for _ in "xy")
+        self.tail_cuts = cuts if t else None
+        ends, size = list(itertools.accumulate(heights, initial=t)), t + len(entries)
+        self._sums_x, self._sums_y = self._views(size, ends), self._views(size, ends)
         return order
 
     @staticmethod
     def _views(size: int, ends: list) -> tuple:
         """A new sums buffer's products, column additions, tail entries, tail
         sums and sums, for columns ending at ``ends[1:]`` (see the class)."""
-        buffer = np.empty(size)
+        buffer, t = np.empty(size), ends[0]
+        if len(ends) == 1:  # all in the tail
+            return buffer[t:], [], buffer[t:], buffer[:t], buffer[:t]
         columns = [buffer[a:b] for a, b in zip(ends, ends[1:])]
         # columns 2, 3, ... add into column 1, and then column 1 into column 0
         adds = [(columns[1][: len(c)], c) for c in columns[2:]]
         if len(columns) > 1:
             adds.append((columns[0][: len(columns[1])], columns[1]))
-        t, head = ends[0], ends[min(1, len(columns))]
-        return buffer[t:], adds, buffer[ends[-1] :], buffer[:t], buffer[:head]
+        return buffer[t:], adds, buffer[ends[-1] :], buffer[:t], buffer[: ends[1]]
 
     def part(self, lo: int, hi: int) -> "_Kernels":
         """The kernels of the undecided states at positions ``lo:hi`` alone.
@@ -388,20 +390,18 @@ class _Kernels:
     # -- per-choice expectations --------------------------------------------
 
     def choice_x(self, x: np.ndarray) -> np.ndarray:
-        vals = self._sums(x, self._sums_x)
+        vals = self.choice_y(x, self._sums_x)
         if self.rewards is not None:
             vals += self.rewards
         return vals
 
-    def choice_y(self, y: np.ndarray) -> np.ndarray:
+    def choice_y(self, y: np.ndarray, views: tuple | None = None) -> np.ndarray:
         """Per kept choice: the sum of ``y[target] * prob`` over its entries
-        (``choice_x`` adds the rewards), in a buffer the next call overwrites."""
-        return self._sums(y, self._sums_y)
-
-    def _sums(self, v: np.ndarray, views: tuple) -> np.ndarray:
-        products, adds, tail, tail_sums, sums = views
+        (``choice_x`` adds the rewards), in a buffer the next call overwrites;
+        ``choice_x`` passes its own buffer's ``views``."""
+        products, adds, tail, tail_sums, sums = views or self._sums_y
         # the indices are valid: "clip" skips the default mode's buffering
-        v.take(self.sum_targets, out=products, mode="clip")
+        y.take(self.sum_targets, out=products, mode="clip")
         products *= self.sum_probs
         for total, column in adds:
             total += column
@@ -460,12 +460,16 @@ class _Kernels:
         """
         key, real, imag = self._key
         if math.isinf(bound):
-            real[:] = cy
-            np.multiply(cx, 1.0 if self.maximize else -1.0, out=imag)
+            real[:], imag[:] = cy, cx
+            if not self.maximize:
+                np.negative(imag, out=imag)
             return self._pick(key, True)
         np.multiply(cy, bound, out=real)
         real += cx
-        np.multiply(cy, -1.0 if self.maximize else 1.0, out=imag)
+        if self.maximize:
+            np.negative(cy, out=imag)
+        else:
+            imag[:] = cy
         return self._pick(key, self.maximize)
 
     # -- full iteration steps -------------------------------------------------
