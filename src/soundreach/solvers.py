@@ -308,7 +308,7 @@ class _Kernels:
         targets = model.entry_target[entries]
         order, heights, t = None, [], len(kept)
         if t >= _COLUMN_CHOICES:
-            if self._zero is not None:
+            if self._zero is not None and self._zero.any():
                 # +0.0 products: into sure-zero states but for heads (see the class)
                 drop = self._zero[targets]
                 drop[cuts] = False
