@@ -1,21 +1,21 @@
 """Graph-level preprocessing: qualitative reachability, SCCs, end components.
 
 Everything here works on the directed graph underlying a model.  The
-functions feed the numeric solvers: ``prob0_max``/``prob0_min`` identify
-states whose reachability value is exactly zero, ``check_contracting``
-asks whether ``prob0_min`` is empty, ``scc_order`` drives the topological
-solver, and the end-component machinery (``mec_decompose``,
-``collapse_end_components``) establishes the unique-fixpoint precondition
-that the certified solvers require.
+functions feed the numeric solvers, in the order ``solve`` runs them:
+``prob0_max``/``prob0_min`` find the states of reachability value exactly
+0, ``prob1_max``/``prob1_min`` those of value exactly 1, and the collapse
+(``mec_decompose``, ``collapse_end_components``) establishes the
+unique-fixpoint precondition of the certified solvers.  ``check_contracting``
+asks whether ``prob0_min`` is empty; ``scc_order`` drives the topological solver.
 
-The searches run over CSR arrays.  ``prob0_max`` and ``_Attractor``, the
-one greatest-fixpoint search, are breadth-first searches over the model's
-one predecessor CSR (``SparseModel.graph``), each round gathering the
-entries into a whole frontier at once.
-``prob0_min`` is one run of ``_Attractor``; ``mec_decompose`` alternates it
-with passes of ``_tarjan``, which walks a state-level successor CSR as
-Python lists and also serves ``scc_order``.  Collapse reuses one
-decomposition of the undecided states, retained choices included.
+The searches run over CSR arrays.  ``_unreached`` (``prob0_max``,
+``prob1_min``) and ``_Attractor`` (``prob0_min``), the one backward and the
+one greatest-fixpoint search, go breadth-first over the model's one
+predecessor CSR (``SparseModel.graph``), each round gathering the entries
+into a whole frontier at once; ``prob1_max`` alternates the two, and
+``mec_decompose`` alternates ``_Attractor`` with passes of ``_tarjan``, which
+walks a state-level successor CSR as Python lists and also serves
+``scc_order``.  Collapse reuses one decomposition of the undecided states.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ __all__ = [
     "QuotientMap",
     "prob0_max",
     "prob0_min",
+    "prob1_max",
+    "prob1_min",
     "scc_order",
     "mec_decompose",
     "collapse_end_components",
@@ -62,40 +64,46 @@ def _distinct(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return values[slots[values] == positions]
 
 
-def prob0_max(model: SparseModel, goal: np.ndarray) -> np.ndarray:
-    """States from which no resolution of choices can ever reach ``goal``.
-
-    Computed as the complement of backward graph reachability from the goal
-    along arbitrary transitions: a breadth-first search whose rounds gather
-    the predecessors of the whole frontier at once.
-    """
-    goal = _state_mask(model, goal)
+def _unreached(model: SparseModel, seed: np.ndarray, pending: np.ndarray, alive=None) -> np.ndarray:
+    """``pending``, cleared in place of each state with a path into ``seed``
+    through ``pending`` states along ``alive`` choices (any, without them):
+    the one backward search, each round gathering the entries into its frontier."""
     graph = model.graph
-    cannot = ~goal
-    frontier = goal.nonzero()[0]
+    frontier = seed.nonzero()[0]
     slots = np.empty(model.num_states, dtype=np.int64)
     while len(frontier):
-        sources = graph.entry_source[graph.entries_into(frontier)]
-        frontier = _distinct(sources[cannot[sources]], slots)
-        cannot[frontier] = False
-    return cannot
+        entries = graph.entries_into(frontier)
+        if alive is not None:
+            entries = entries[alive[graph.entry_choice[entries]]]
+        sources = graph.entry_source[entries]
+        frontier = _distinct(sources[pending[sources]], slots)
+        pending[frontier] = False
+    return pending
+
+
+def prob0_max(model: SparseModel, goal: np.ndarray) -> np.ndarray:
+    """States from which no resolution of choices can ever reach ``goal``:
+    all but those with a path into the goal."""
+    goal = _state_mask(model, goal)
+    return _unreached(model, goal, ~goal)
 
 
 class _Attractor:
     """The one greatest-fixpoint search, over the model's ``graph`` arrays.
 
-    ``component_of`` labels the candidate states (-1 for the others).  ``run``
-    drops every alive choice that can leave its component, then the
-    attractor of what fell, round by round: the states left without a choice
-    (component -1) and the alive choices that can enter them.  A round
-    touches only the entries into the states that just fell: linear time.
+    ``component_of`` labels the candidate states (-1 for the others), whose
+    choices start alive (those of ``owners`` if given).  ``run`` drops every
+    alive choice that can leave its component, then the attractor of what
+    fell, round by round: the states left without a choice (component -1) and
+    the alive choices that can enter them, touching only the entries into the
+    states that just fell: linear time.
     """
 
-    def __init__(self, model: SparseModel, candidates: np.ndarray):
+    def __init__(self, model: SparseModel, candidates: np.ndarray, owners=None):
         n, graph = model.num_states, model.graph
         self.model, self.graph = model, graph
         self.component_of = candidates.astype(np.int64) - 1
-        self.choice_alive = candidates[graph.choice_state]
+        self.choice_alive = (candidates if owners is None else owners)[graph.choice_state]
         self.choices_left = np.bincount(graph.choice_state[self.choice_alive], minlength=n)
         self.state_slots = np.empty(n, dtype=np.int64)
         self.choice_slots = np.empty(model.num_choices, dtype=np.int64)
@@ -126,6 +134,30 @@ def prob0_min(model: SparseModel, goal: np.ndarray) -> np.ndarray:
     attractor = _Attractor(model, ~_state_mask(model, goal))
     attractor.run()
     return attractor.component_of >= 0
+
+
+def prob1_max(model: SparseModel, goal: np.ndarray, s0: np.ndarray) -> np.ndarray:
+    """Prob1E (Baier & Katoen, Alg. 45): the states, goal included, from which
+    some resolution of choices reaches ``goal`` almost surely, given ``s0 =
+    prob0_max``.  From ``U = ~s0``, ``_Attractor`` drops the choices that can
+    leave ``U`` and the states left without one, then a search from the goal
+    along the rest drops the states it misses, until a search drops nothing."""
+    attractor = _Attractor(model, ~s0, ~(s0 | goal))  # goal rows are never read
+    while True:
+        attractor.run()
+        keep = attractor.component_of >= 0
+        lost = _unreached(model, goal, keep & ~goal, attractor.choice_alive)
+        if not lost.any():
+            return keep
+        attractor.component_of[lost] = -1
+        attractor.choice_alive &= ~lost[attractor.graph.choice_state]
+
+
+def prob1_min(model: SparseModel, goal: np.ndarray, s0: np.ndarray) -> np.ndarray:
+    """Prob1A (Baier & Katoen, Alg. 46): the states, goal included, from which
+    every resolution of choices reaches ``goal`` almost surely, given ``s0 =
+    prob0_min``: those without a path outside the goal into ``s0``."""
+    return _unreached(model, s0, ~(s0 | goal)) | goal
 
 
 def check_contracting(model: SparseModel, target: np.ndarray) -> bool:
@@ -358,19 +390,22 @@ def collapse_end_components(model: SparseModel, partition: Partition) -> Quotien
 
 
 def reach_partition(model: SparseModel, goal: np.ndarray, direction: Direction) -> Partition:
-    """Partition for a reachability-probability query.  Goal rows are never
-    read, so a goal state counts as absorbing whatever its choices.
-
-    For ``MINIMIZE`` no set ``M`` of ``maybe`` states can be kept forever
-    (``prob0_min(model, goal | s0)`` is empty), so minimizing solves need no
-    end-component check: ``s0`` is the greatest set of non-goal states that
-    each keep a choice inside the set, and ``s0 | M`` would be a larger one.
+    """Partition for a reachability-probability query, by graph searches alone:
+    ``s0`` holds the states of value 0 (``prob0_max``/``prob0_min``), ``goal``
+    the goal and the states of value 1 (``prob1_max``/``prob1_min``), whose
+    answer is exact and takes no sweep, and ``maybe`` the rest.  Goal rows
+    are never read: a goal state counts as absorbing whatever its choices.
+    Where every state outside the goal has one choice, both directions agree
+    and ``prob0_max`` and ``prob1_min`` serve either.  For ``MINIMIZE`` no set
+    of ``maybe`` states can be kept forever (``s0`` is the greatest set that
+    can), so minimizing solves need no end-component check.
     """
     goal = _state_mask(model, goal)
-    zero = prob0_max if direction is Direction.MAXIMIZE else prob0_min
-    s0 = zero(model, goal)  # never a goal state
-    # a caller's writable goal mask stays the caller's
-    return Partition._of(s0, goal.copy() if goal.flags.writeable else goal, ~(s0 | goal))
+    maximize = direction is Direction.MAXIMIZE
+    chain = np.count_nonzero(~goal[model.graph.choice_state]) == np.count_nonzero(~goal)
+    s0 = (prob0_max if maximize or chain else prob0_min)(model, goal)  # never a goal state
+    one = (prob1_max if maximize and not chain else prob1_min)(model, goal, s0)
+    return Partition._of(s0, one, ~(s0 | one))
 
 
 def reward_partition(model: SparseModel, goal: np.ndarray) -> Partition:

@@ -181,10 +181,11 @@ class SparseModel:
 class Partition:
     """Disjoint split of the state space into sure-zero, goal, and undecided.
 
-    ``s0``/``goal``/``maybe`` are boolean masks over the states.  They must be
-    pairwise disjoint and together cover every state.  The partition holds
-    frozen copies, so the caller's arrays stay writable; the package's own
-    partitions come from ``_of``, which checks and copies nothing.
+    ``s0``/``goal``/``maybe`` are boolean masks over the states, pairwise
+    disjoint and covering every state; ``reach_partition`` puts each state of
+    value exactly 0 in ``s0`` and of value exactly 1 in ``goal``.  The
+    partition holds frozen copies, so the caller's arrays stay writable; the
+    package's own partitions come from ``_of``, which checks and copies nothing.
     """
 
     s0: np.ndarray

@@ -545,6 +545,7 @@ def _tighten_bounds(
     x_low: np.ndarray,
     x_high: np.ndarray,
     y: np.ndarray,
+    y_max: float,
     lower: float,
     upper: float,
     decision: float,
@@ -556,11 +557,11 @@ def _tighten_bounds(
     ``lower`` rises to the smallest ratio ``x_low / (1 - y)`` and ``upper``
     falls to the largest ratio ``x_high / (1 - y)``; a one-block run passes
     the same vector twice, a run of more blocks its low and high
-    accumulators.  Nothing moves while some ``y`` is 1 (its ratio is
-    undefined).  The decision value clamps the bound on the optimizing side,
-    so the recorded choices stay optimal for the new bound.
+    accumulators.  Nothing moves while ``y_max``, the largest ``y``, is 1
+    (its ratio is undefined).  The decision value clamps the bound on the
+    optimizing side, so the recorded choices stay optimal for the new bound.
     """
-    if y.size == 0 or np.maximum.reduce(y) >= 1.0:
+    if y_max >= 1.0:
         return lower, upper
     denominators = 1.0 - y
     ratios_low = x_low / denominators
@@ -577,10 +578,9 @@ def _tighten_bounds(
 # ---------------------------------------------------------------------------
 
 
-def _shortcut(
-    model: SparseModel, partition: Partition, config: SolverConfig
-) -> SolveResult | None:
-    """The result of a query whose initial state is decided, else None."""
+def _shortcut(model: SparseModel, partition: Partition, config: SolverConfig) -> SolveResult | None:
+    """The result of a query whose initial state is decided, else None: 1.0
+    for a probability query's goal and value-1 states, in 0 sweeps."""
     s = model.initial_state
     if partition.goal[s]:
         value = 1.0 if config.objective is Objective.PROBABILITY else 0.0
@@ -741,7 +741,10 @@ def _certify(
                 chosen, decision = part.coupled_step(drive, y_tail, bound, decision)
                 if x_follow is not x_drive:
                     follow[: hi - lo] = part.choice_x(follow)[chosen]
-                lower, upper = _tighten_bounds(low, high, y_part, lower, upper, decision, maximize)
+                y_max = np.maximum.reduce(y_part)
+                lower, upper = _tighten_bounds(
+                    low, high, y_part, y_max, lower, upper, decision, maximize
+                )
                 y0 = float(y[initial])
                 finite = math.isfinite(lower) and math.isfinite(upper)
                 if trace is not None:
@@ -761,7 +764,7 @@ def _certify(
                     if x_high is not x_low:
                         width += float(x_high[initial] - x_low[initial])
                     done = y0 == 0.0 or width < threshold
-                elif np.maximum.reduce(y_part) == 0.0:
+                elif y_max == 0.0:
                     done = True
                 elif finite:
                     member_low = low + y_part * lower
@@ -878,11 +881,13 @@ def solve(
 
     ``goal`` is a label name or a boolean mask.  The qualitative partition
     is computed on the caller's model, with no absorbing copy: it fixes the
-    goal's value, and no search or engine reads a goal row.  Maximizing
-    probability queries collapse end components so the certified methods
-    face a unique fixpoint (minimizing ones face one already, see
-    ``reach_partition``); reward queries reject models with an end
-    component outside the goal.  svi starts in a range every value lies
+    goal's value, and no search or engine reads a goal row.  A probability
+    query is preprocessed in three steps: ``prob0`` decides the states of
+    value 0, ``prob1`` those of value 1 (see ``reach_partition``), whose
+    answer is exact and takes 0 sweeps, and a maximizing query then
+    collapses end components so the certified methods face a unique
+    fixpoint (minimizing ones face one already).  Reward queries reject
+    models with an end component outside the goal.  svi starts in a range every value lies
     in: ``[0, 1]`` for probabilities; for rewards ``[0, inf)`` when no
     choice of a non-goal state has a negative reward, ``(-inf, 0]`` when
     none has a positive one.  A missing bound becomes the range's end, a
@@ -893,10 +898,11 @@ def solve(
     topological mode raises ``ConfigError`` before any preprocessing.  The
     reported time covers the preprocessing too.
 
-    The collapse and its end-component search are skipped where every
-    undecided state has one choice: an end component there is a closed set
-    without the goal, which ``prob0_max`` has put in ``s0``, so the
-    collapse would be the identity and skipping it changes no number.
+    The collapse and its end-component search are skipped where the initial
+    state is decided, whose answer needs no sweep, and where every undecided
+    state has one choice: an end component there is a closed set without
+    the goal, which ``prob0_max`` has put in ``s0``, so the collapse would
+    be the identity and skipping it changes no number.
     """
     config = config.validated()
     if on_iteration is not None and (config.method is not Method.SVI or config.topological):
@@ -916,14 +922,12 @@ def solve(
         ).validated()
     if config.objective is Objective.REWARD:
         if not check_contracting(model, goal_mask):
-            raise RewardOnMec(
-                "reward query on a model with an end component outside the goal"
-            )
+            raise RewardOnMec("reward query on a model with an end component outside the goal")
         partition = reward_partition(model, goal_mask)
     else:
         partition = reach_partition(model, goal_mask, config.direction)
         maybe = partition.maybe
-        if config.direction is Direction.MAXIMIZE and not model.is_mc and (
+        if config.direction is Direction.MAXIMIZE and maybe[model.initial_state] and (
             np.count_nonzero(maybe[model.choice_state()]) > np.count_nonzero(maybe)
         ):
             quotient = collapse_end_components(model, partition)

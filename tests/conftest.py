@@ -11,6 +11,7 @@ import pytest
 
 import soundreach as sr
 from oracle import oracle_solve
+from soundreach import analysis
 
 # ---------------------------------------------------------------------------
 # hand-built models
@@ -76,6 +77,15 @@ def two_route_mdp_model() -> sr.SparseModel:
         ],
         labels={"init": [0], "goal": [3, 4]},
     )
+
+
+@pytest.fixture
+def without_prob1(monkeypatch):
+    """``reach_partition`` without its value-1 pass: only the goal holds
+    value 1, as before ``prob1_max``/``prob1_min`` existed, so models whose
+    values are 1 still drive the kernels, the engines and the collapse."""
+    for name in ("prob1_max", "prob1_min"):
+        monkeypatch.setattr(analysis, name, lambda model, goal, s0: goal.copy())
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Graph preprocessing: sure-zero states, SCCs, end components, collapsing."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -203,8 +204,85 @@ def test_reach_partition_direction_matters():
     p_max = sr.reach_partition(m, goal, sr.Direction.MAXIMIZE)
     p_min = sr.reach_partition(m, goal, sr.Direction.MINIMIZE)
     assert not p_max.s0[0] and p_min.s0[0]
-    np.testing.assert_array_equal(p_max.goal, goal)
+    # some choice at 0 reaches the goal for sure: its maximal value is 1
+    np.testing.assert_array_equal(p_max.goal, [True, True, False])
     np.testing.assert_array_equal(p_min.goal, goal)
+
+
+def test_prob1_max_runs_until_a_search_drops_nothing():
+    # 1 reaches the goal 2 only by a choice that may fall into the sink 3,
+    # so the first search drops 1 (its self-loop never wins), and only then
+    # does 0's one choice leave the candidates: the value of 0 is 0.75
+    m = sr.validate_model(
+        [[{1: 0.5, 2: 0.5}], [{1: 1.0}, {2: 0.5, 3: 0.5}], [{2: 1.0}], [{3: 1.0}]]
+    )
+    goal = goal_mask(m, 2)
+    s0 = sr.prob0_max(m, goal)
+    np.testing.assert_array_equal(analysis.prob1_max(m, goal, s0), goal)
+    p_max = sr.reach_partition(m, goal, sr.Direction.MAXIMIZE)
+    np.testing.assert_array_equal(p_max.maybe, [True, True, False, False])
+    p_min = sr.reach_partition(m, goal, sr.Direction.MINIMIZE)
+    np.testing.assert_array_equal(p_min.s0, [False, True, False, True])
+
+
+def almost_sure_states(model, goal, picks):
+    """The states whose chain under the positional scheduler ``picks`` (a
+    choice index per state), the goal absorbing, reaches the goal almost
+    surely: those from which every reachable state can still reach it."""
+    successors = [
+        set() if goal[s] else set(model.entries_of(int(picks[s]))[0].tolist())
+        for s in range(model.num_states)
+    ]
+
+    def reachable(s):
+        seen, stack = {s}, [s]
+        while stack:
+            for t in successors[stack.pop()] - seen:
+                seen.add(t)
+                stack.append(t)
+        return seen
+
+    reach = [reachable(s) for s in range(model.num_states)]
+    can_win = {s for s, seen in enumerate(reach) if goal[list(seen)].any()}
+    return {s for s, seen in enumerate(reach) if seen <= can_win}
+
+
+@pytest.mark.parametrize("direction", list(sr.Direction))
+def test_value_one_states_match_every_positional_scheduler(direction):
+    # a positional scheduler attains each optimum: a maximal value is 1 where
+    # some scheduler reaches the goal almost surely, a minimal one where all do
+    for model, goal in _suite_320():
+        per_scheduler = [
+            almost_sure_states(model, goal, picks)
+            for picks in itertools.product(*map(model.choices_of, range(model.num_states)))
+        ]
+        merge = set.union if direction is sr.Direction.MAXIMIZE else set.intersection
+        want = np.zeros(model.num_states, dtype=bool)
+        want[list(merge(*per_scheduler))] = True
+        np.testing.assert_array_equal(sr.reach_partition(model, goal, direction).goal, want)
+
+
+def test_chains_take_the_cheap_searches_in_both_directions(monkeypatch):
+    # every state outside the goal has one choice: prob0_max and prob1_min
+    # serve both directions, with no attractor run
+    chains = [
+        (model, goal) for model, goal in _suite_320()
+        if np.count_nonzero(~goal[model.choice_state()]) == np.count_nonzero(~goal)
+    ]
+    general = []
+    for model, goal in chains:
+        partitions = []
+        for prob0, prob1 in (
+            (analysis.prob0_max, analysis.prob1_max), (analysis.prob0_min, analysis.prob1_min)
+        ):
+            s0 = prob0(model, goal)
+            one = prob1(model, goal, s0)
+            partitions.append(sr.Partition(s0, one, ~(s0 | one)))
+        general.append(partitions)
+    monkeypatch.setattr(analysis, "_Attractor", None)
+    assert len(chains) > 100
+    for (model, goal), want in zip(chains, general):
+        assert [sr.reach_partition(model, goal, d) for d in sr.Direction] == want
 
 
 def test_reward_partition_has_no_sure_zero_block(slow_chain):
@@ -562,6 +640,7 @@ def test_collapse_merges_loop_and_preserves_values():
         assert collapsed[quotient.state_map[s]] == pytest.approx(original[s], abs=1e-12)
 
 
+@pytest.mark.usefixtures("without_prob1")
 def test_collapse_sums_merged_targets_in_the_quotient():
     # 0 <-> 1 is an end component; state 2 enters it through both members
     m = sr.validate_model(
@@ -584,12 +663,12 @@ def test_collapse_numbers_late_component_without_numpy_ma():
     # np.unique without return_inverse imports numpy.ma (0.6 MB of memory)
     # on first use; the maximal-probability path must not, so this runs in
     # a fresh interpreter.  1 <-> 3 is an end component; 1 may exit to the
-    # goal 2, 3 to the sink 4.
+    # goal 2 or the sink 4 at even odds, 3 to the sink 4.
     code = """
 import sys
 import soundreach as sr
 model = sr.validate_model(
-    [[{1: 1.0}], [{3: 1.0}, {2: 1.0}], [{2: 1.0}], [{1: 1.0}, {4: 1.0}], [{4: 1.0}]],
+    [[{1: 1.0}], [{3: 1.0}, {2: 0.5, 4: 0.5}], [{2: 1.0}], [{1: 1.0}, {4: 1.0}], [{4: 1.0}]],
     labels={"init": [0], "goal": [2]},
 )
 result = sr.solve(model, "goal", sr.SolverConfig())
@@ -603,7 +682,7 @@ print(result.value, "numpy.ma" in sys.modules, state_map.tolist())
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "1.0 False [0, 1, 2, 1, 3]"
+    assert out.stdout.strip() == "0.5 False [0, 1, 2, 1, 3]"
 
 
 def test_collapse_component_without_exit_is_an_empty_row_group():
@@ -648,6 +727,7 @@ def test_collapse_searches_the_undecided_states_only():
     assert quotient.partition == partition
 
 
+@pytest.mark.usefixtures("without_prob1")
 def test_collapse_random_models_preserve_oracle():
     rng = np.random.default_rng(99)
     checked = 0
@@ -742,8 +822,10 @@ def test_a_callers_writable_goal_mask_stays_writable():
                     pass
         partition = sr.reach_partition(model, goal, sr.Direction.MAXIMIZE)
         assert goal.flags.writeable and np.array_equal(goal, before)
+        kept = partition.goal.copy()  # the goal and the value-1 states
+        assert kept[before].all()
         goal[:] = ~goal  # the partition holds its own copy
-        assert np.array_equal(partition.goal, before)
+        assert np.array_equal(partition.goal, kept)
         goal[:] = before
 
 

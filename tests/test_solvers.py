@@ -118,6 +118,7 @@ def test_bellman_h_shrinks_undecided_mass(slow_chain):
     np.testing.assert_allclose(y2, [1.0, 0.996, 0.6, 0.0, 0.0])
 
 
+@pytest.mark.usefixtures("without_prob1")
 def test_bellman_h_needs_scheduler_on_mdp(branching_mdp):
     # y follows the choice the x-update picked, given per state
     model, part = prepared(branching_mdp)
@@ -218,6 +219,7 @@ TIE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(TIE_CASES))
+@pytest.mark.usefixtures("without_prob1")
 def test_score_ties_go_to_smaller_undecided_mass(case):
     direction, bound, group = TIE_CASES[case]
     model = sr.validate_model(
@@ -287,6 +289,7 @@ def test_find_action_reward_counts_immediate_gain():
     assert picks(model, part, x, y, 0.0, MIN, REWARD)[0] == 0
 
 
+@pytest.mark.usefixtures("without_prob1")
 def test_decision_value_hand_computed(branching_mdp):
     model, part = prepared(branching_mdp)
     x = np.array([0.0, 0.0, 0.3, 0.0, 1.0])
@@ -829,7 +832,10 @@ def tightened(x, y, part, lower, upper, decision, direction=MAX):
     """``_tighten_bounds`` over the undecided states of ``part``, one value
     vector ``x`` serving as both accumulators."""
     live = part.maybe_states
-    return _tighten_bounds(x[live], x[live], y[live], lower, upper, decision, direction is MAX)
+    y_live = y[live]
+    return _tighten_bounds(
+        x[live], x[live], y_live, np.maximum.reduce(y_live), lower, upper, decision, direction is MAX
+    )
 
 
 def test_update_global_bounds_blocked_while_mass_stuck(slow_chain):
@@ -962,6 +968,7 @@ def test_svi_iteration_limit_carries_partial(slow_chain, method):
 
 
 @pytest.mark.parametrize("method", [sr.Method.VI, sr.Method.II])
+@pytest.mark.usefixtures("without_prob1")
 def test_solve_refuses_a_hook_for_vi_and_ii(method):
     # the hook was dropped silently while vi ran 20 sweeps and ii 19
     model = sr.validate_model(
@@ -1319,6 +1326,7 @@ def max_reach_by_policy_iteration(model, goal):
 @pytest.mark.parametrize(
     "n,seed,sink_share,cap", [(300, 0, 0.0, 1_000), (200, 7, 0.05, 3_000)], ids=["F1", "F2"]
 )
+@pytest.mark.usefixtures("without_prob1")
 def test_solve_certifies_the_fault_models(n, seed, sink_share, cap):
     # F1: every value is exactly 1.  F2: a sink takes part of the mass.
     # Started at [-inf, inf], the first sweeps would select choices at an
@@ -1336,6 +1344,7 @@ def test_solve_certifies_the_fault_models(n, seed, sink_share, cap):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("topological", [False, True])
+@pytest.mark.usefixtures("without_prob1")
 def test_decision_value_over_a_subnormal_mass_gap(topological):
     # State 0 certifies only after about 12,000 sweeps.  State 1's stay
     # mass halves each sweep, so from sweep 1,024 on its two choices differ
@@ -1359,6 +1368,35 @@ def test_decision_value_over_a_subnormal_mass_gap(topological):
     assert res.upper - res.lower < 2 * config.epsilon
 
 
+STALLED = {
+    # every value is 1, but a minimal query's y stays near 1 for thousands of sweeps
+    "random MDP 200 min": (200, sr.Method.SVI, sr.Direction.MINIMIZE),
+    "F1 min": (300, sr.Method.SVI, sr.Direction.MINIMIZE),
+    # the stored row {0: 1.0, 1: 1e-300} sums to more than 1: y never falls below 1
+    **{
+        f"self-loop {method.value} {direction.value}": (None, method, direction)
+        for method in (sr.Method.SVI, sr.Method.II)
+        for direction in sr.Direction
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(STALLED))
+def test_value_one_queries_certify_before_any_sweep(case):
+    # each ran into its cap of sweeps before the value-1 pass of reach_partition
+    n, method, direction = STALLED[case]
+    if n is None:
+        model = sr.validate_model(
+            [[{0: 1.0, 1: 1e-300}], [{1: 1.0}]], labels={"init": [0], "goal": [1]}
+        )
+    else:
+        model = random_value_mdp(n, np.random.default_rng(0))
+    config = sr.SolverConfig(method=method, direction=direction, max_iterations=10)
+    res = sr.solve(model, "goal", config)
+    assert (res.value, res.lower, res.upper, res.iterations, res.sound) == (1.0, 1.0, 1.0, 0, True)
+
+
+@pytest.mark.usefixtures("without_prob1")
 def test_svi_solve_itself_keeps_the_unbounded_start():
     model = random_value_mdp(300, np.random.default_rng(0))
     goal = model.label_mask("goal")
@@ -1516,6 +1554,7 @@ def test_probability_results_never_cross_or_leave_zero_one():
     "method, instance",
     [(sr.Method.II, 85), (sr.Method.VI, 44), (sr.Method.SVI, "F1"), (sr.Method.SVI, "F1 blocks")],
 )
+@pytest.mark.usefixtures("without_prob1")
 def test_vi_and_ii_trace_rows_stay_in_zero_one(method, instance):
     # Unclipped, ii's rows on instance 85 of the suite end at an upper bound
     # of 1.0000000000000004, vi's rows on instance 44 at 1.0000000000000002,

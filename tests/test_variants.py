@@ -104,6 +104,7 @@ def _nth_random_model(seed, index):
 
 
 @pytest.mark.usefixtures("per_component")
+@pytest.mark.usefixtures("without_prob1")
 def test_topological_order_ignores_sure_zero_rows():
     # instance 39: a sure-zero state's row leads back into the undecided
     # states, and ordering by it merged two components into one that took
