@@ -21,16 +21,19 @@ rng = np.random.default_rng(7)
 
 
 def random_mdp(n_states):
-    """A connected random model with a reachable goal state."""
-    goal = n_states - 1
+    """A connected random model with a reachable goal state and a losing
+    sink that every choice can fall into, so no value is exactly 1 (those
+    are decided before any sweep, which would leave nothing to compare)."""
+    goal, sink = n_states - 1, n_states
     choices = []
     for s in range(n_states):
         rows = []
         for _ in range(int(rng.integers(1, 3))):
             support = rng.choice(n_states, size=min(3, n_states), replace=False)
-            weights = rng.dirichlet(np.ones(len(support)))
-            rows.append({int(t): float(w) for t, w in zip(support, weights)})
+            weights = 0.99 * rng.dirichlet(np.ones(len(support)))
+            rows.append({int(t): float(w) for t, w in zip(support, weights)} | {sink: 0.01})
         choices.append(rows)
+    choices.append([{sink: 1.0}])
     # a thin path to the goal keeps the query interesting
     choices[0][0][goal] = choices[0][0].get(goal, 0.0) + 0.05
     total = sum(choices[0][0].values())

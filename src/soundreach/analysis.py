@@ -392,13 +392,12 @@ def collapse_end_components(model: SparseModel, partition: Partition) -> Quotien
 def reach_partition(model: SparseModel, goal: np.ndarray, direction: Direction) -> Partition:
     """Partition for a reachability-probability query, by graph searches alone:
     ``s0`` holds the states of value 0 (``prob0_max``/``prob0_min``), ``goal``
-    the goal and the states of value 1 (``prob1_max``/``prob1_min``), whose
-    answer is exact and takes no sweep, and ``maybe`` the rest.  Goal rows
-    are never read: a goal state counts as absorbing whatever its choices.
-    Where every state outside the goal has one choice, both directions agree
-    and ``prob0_max`` and ``prob1_min`` serve either.  For ``MINIMIZE`` no set
-    of ``maybe`` states can be kept forever (``s0`` is the greatest set that
-    can), so minimizing solves need no end-component check.
+    the goal and the states of value 1 (``prob1_max``/``prob1_min``), and
+    ``maybe`` the rest.  Goal rows are never read: a goal state counts as
+    absorbing whatever its choices.  Where every state outside the goal has
+    one choice, both directions agree and take ``prob0_max`` and
+    ``prob1_min``.  For ``MINIMIZE`` no set of ``maybe`` states can be kept
+    forever (``s0`` is the greatest that can): no end-component check.
     """
     goal = _state_mask(model, goal)
     maximize = direction is Direction.MAXIMIZE

@@ -578,9 +578,10 @@ def _tighten_bounds(
 # ---------------------------------------------------------------------------
 
 
-def _shortcut(model: SparseModel, partition: Partition, config: SolverConfig) -> SolveResult | None:
-    """The result of a query whose initial state is decided, else None: 1.0
-    for a probability query's goal and value-1 states, in 0 sweeps."""
+def _shortcut(
+    model: SparseModel, partition: Partition, config: SolverConfig
+) -> SolveResult | None:
+    """The result of a query whose initial state is decided, else None."""
     s = model.initial_state
     if partition.goal[s]:
         value = 1.0 if config.objective is Objective.PROBABILITY else 0.0
@@ -882,27 +883,25 @@ def solve(
     ``goal`` is a label name or a boolean mask.  The qualitative partition
     is computed on the caller's model, with no absorbing copy: it fixes the
     goal's value, and no search or engine reads a goal row.  A probability
-    query is preprocessed in three steps: ``prob0`` decides the states of
-    value 0, ``prob1`` those of value 1 (see ``reach_partition``), whose
-    answer is exact and takes 0 sweeps, and a maximizing query then
-    collapses end components so the certified methods face a unique
-    fixpoint (minimizing ones face one already).  Reward queries reject
-    models with an end component outside the goal.  svi starts in a range every value lies
-    in: ``[0, 1]`` for probabilities; for rewards ``[0, inf)`` when no
-    choice of a non-goal state has a negative reward, ``(-inf, 0]`` when
-    none has a positive one.  A missing bound becomes the range's end, a
-    given one is clipped into it, and one outside it raises
-    ``ConfigError``.  A goal mask that is not boolean or has the wrong
-    length raises ``DanglingTarget``, an unknown goal label
-    ``UnknownLabelId``.  An ``on_iteration`` hook for vi, ii or the
-    topological mode raises ``ConfigError`` before any preprocessing.  The
-    reported time covers the preprocessing too.
+    query's partition decides the states of value 0 (prob0), then those of
+    value 1 (prob1), exactly and before any sweep (see ``reach_partition``);
+    a maximizing query then collapses end components so the certified
+    methods face a unique fixpoint (minimizing ones face one already).
+    Reward queries reject models with an end component outside the goal.
+    svi starts in a range every value lies in: ``[0, 1]`` for
+    probabilities; for rewards ``[0, inf)`` when no choice of a non-goal
+    state has a negative reward, ``(-inf, 0]`` when none has a positive
+    one.  A missing bound becomes the range's end, a given one is clipped
+    into it, and one outside it raises ``ConfigError``.  A goal mask that
+    is not boolean or has the wrong length raises ``DanglingTarget``, an
+    unknown goal label ``UnknownLabelId``.  An ``on_iteration`` hook for vi,
+    ii or the topological mode raises ``ConfigError`` before any
+    preprocessing.  The reported time covers the preprocessing too.
 
     The collapse and its end-component search are skipped where the initial
-    state is decided, whose answer needs no sweep, and where every undecided
-    state has one choice: an end component there is a closed set without
-    the goal, which ``prob0_max`` has put in ``s0``, so the collapse would
-    be the identity and skipping it changes no number.
+    state is decided, and where every undecided state has one choice: an end
+    component there is a closed set without the goal, which ``prob0_max``
+    has put in ``s0``, so the collapse would be the identity.
     """
     config = config.validated()
     if on_iteration is not None and (config.method is not Method.SVI or config.topological):
@@ -922,7 +921,9 @@ def solve(
         ).validated()
     if config.objective is Objective.REWARD:
         if not check_contracting(model, goal_mask):
-            raise RewardOnMec("reward query on a model with an end component outside the goal")
+            raise RewardOnMec(
+                "reward query on a model with an end component outside the goal"
+            )
         partition = reward_partition(model, goal_mask)
     else:
         partition = reach_partition(model, goal_mask, config.direction)

@@ -832,10 +832,9 @@ def tightened(x, y, part, lower, upper, decision, direction=MAX):
     """``_tighten_bounds`` over the undecided states of ``part``, one value
     vector ``x`` serving as both accumulators."""
     live = part.maybe_states
-    y_live = y[live]
-    return _tighten_bounds(
-        x[live], x[live], y_live, np.maximum.reduce(y_live), lower, upper, decision, direction is MAX
-    )
+    x_live, y_live = x[live], y[live]
+    top = np.maximum.reduce(y_live)
+    return _tighten_bounds(x_live, x_live, y_live, top, lower, upper, decision, direction is MAX)
 
 
 def test_update_global_bounds_blocked_while_mass_stuck(slow_chain):
